@@ -22,6 +22,7 @@ from .fields import lucas_binom
 from .operations import OperationSum, OperationWord, single_op_degree
 
 ActionEntry = tuple[tuple[int, int], ...]  # ((coeff, gen_index), ...)
+ActionTerms = tuple[tuple[int, int], ...]  # ((gen_index, coeff), ...), sorted by index
 
 S1_FAMILY = GeneratorFamily("x", 2, 0)
 
@@ -78,13 +79,24 @@ ActionRule = str | ActionTable | Callable[[int, int], GradedElement]
 
 
 class ModuleSpec:
-    """A graded basis with an operation action over a JoinAlgebraSpec."""
+    """A graded basis with an operation action over a JoinAlgebraSpec.
+
+    The action is a builtin name, an ActionTable or a callable
+    (op, gen) -> GradedElement. Every module keeps its own memo of the
+    action on single generators: each (op, gen) pair is built once through
+    the rule, checked against the family and reduced mod p, and then
+    served from the memo as (index, coeff) terms. A callable action must
+    therefore be a pure function of (op, gen); it is called at most once
+    per pair per module. Errors are never memoized: a query that raised
+    raises again.
+    """
 
     BUILTIN_ACTIONS = ("s1_p2",)
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
         self.algebra = algebra
         self.action = action
+        self._memo: dict[tuple[int, int], ActionTerms] = {}
         if isinstance(action, str):
             if action != "s1_p2":
                 raise ValueError(f"unknown builtin action {action!r}")
@@ -122,54 +134,72 @@ class ModuleSpec:
     def zero(self) -> GradedElement:
         return GradedElement.zero(self.family, self.p)
 
+    def _act_terms(self, op_index: int, gen_index: int) -> ActionTerms:
+        """The integer action kernel: Q_op(x_gen) as reduced nonzero
+        (index, coeff) terms sorted by index, memoized per module."""
+        key = (op_index, gen_index)
+        terms = self._memo.get(key)
+        if terms is None:
+            if isinstance(self.action, str):
+                out = s1_action(op_index, gen_index)
+            elif isinstance(self.action, ActionTable):
+                entry = self.action.lookup(op_index, gen_index)
+                out = GradedElement(self.family, self.p, _entry_dict(entry))
+            else:
+                out = self.action(op_index, gen_index)
+            if out.family != self.family or out.p != self.p:
+                out = GradedElement(self.family, self.p, out.terms)
+            terms = self._memo[key] = tuple(sorted(out.terms.items()))
+        return terms
+
+    def _apply_op_terms(self, op_index: int, terms: dict[int, int]) -> dict[int, int]:
+        acc: dict[int, int] = {}
+        for idx, c in terms.items():
+            for idx2, c2 in self._act_terms(op_index, idx):
+                acc[idx2] = acc.get(idx2, 0) + c * c2
+        p = self.p
+        return {idx: c % p for idx, c in acc.items() if c % p}
+
+    def _apply_word_terms(self, indices: Sequence[int], x: GradedElement) -> dict[int, int]:
+        if x.family != self.family or x.p != self.p:
+            raise FamilyMismatchError("element does not live over this module")
+        terms = x.terms
+        for i in reversed(indices):
+            terms = self._apply_op_terms(i, terms)
+        return terms
+
     def act(self, op_index: int, gen_index: int) -> GradedElement:
         """Apply a single operation to a single generator."""
-        if isinstance(self.action, str):
-            out = s1_action(op_index, gen_index)
-            if self.family != S1_FAMILY:  # same rule under another generator name
-                out = GradedElement(self.family, self.p, out.terms)
-            return out
-        if isinstance(self.action, ActionTable):
-            return GradedElement(
-                self.family, self.p, _entry_dict(self.action.lookup(op_index, gen_index))
-            )
-        return self.action(op_index, gen_index)
+        return GradedElement(self.family, self.p, self._act_terms(op_index, gen_index))
 
     def apply_op(self, op_index: int, x: GradedElement) -> GradedElement:
-        acc: dict[int, int] = {}
-        for idx, c in x.terms.items():
-            for idx2, c2 in self.act(op_index, idx).terms.items():
-                acc[idx2] = acc.get(idx2, 0) + c * c2
-        return GradedElement(self.family, self.p, acc)
+        return GradedElement(self.family, self.p, self._apply_op_terms(op_index, x.terms))
 
     def apply_word(self, w: OperationWord | Sequence[int], x: GradedElement) -> GradedElement:
         """Apply a word right to left, extended linearly."""
-        if x.family != self.family or x.p != self.p:
-            raise FamilyMismatchError("element does not live over this module")
         indices = w.indices if isinstance(w, OperationWord) else tuple(w)
-        for i in reversed(indices):
-            x = self.apply_op(i, x)
-        return x
+        return GradedElement(self.family, self.p, self._apply_word_terms(indices, x))
 
     def apply_sum(self, s: OperationSum, x: GradedElement) -> GradedElement:
         """Coefficient-weighted sum of apply_word over the terms of s."""
-        acc = self.zero()
+        acc: dict[int, int] = {}
         for word, c in s.sorted_terms():
-            acc = acc + c * self.apply_word(word, x)
-        return acc
+            for idx, v in self._apply_word_terms(word.indices, x).items():
+                acc[idx] = acc.get(idx, 0) + c * v
+        return GradedElement(self.family, self.p, acc)
 
     def cartan_expand(self, n: int, a: GradedElement, b: GradedElement) -> GradedElement:
         """sum_{i+j=n} Q_i(a) * Q_j(b), the product-side of the Cartan formula."""
         if n < 0:
             raise ValueError("operation index must be nonnegative")
-        acc = self.zero()
+        acc: dict[int, int] = {}
         for i in range(n + 1):
-            qa = self.apply_op(i, a)
-            qb = self.apply_op(n - i, b)
-            if qa.is_zero() or qb.is_zero():
-                continue
-            acc = acc + self.algebra.join_product(qa, qb)
-        return acc
+            qa = self._apply_op_terms(i, a.terms)
+            qb = self._apply_op_terms(n - i, b.terms)
+            if qa and qb:
+                for idx, c in self.algebra._product_terms(qa, qb).items():
+                    acc[idx] = acc.get(idx, 0) + c
+        return GradedElement(self.family, self.p, acc)
 
 
 def _entry_dict(entry: ActionEntry) -> dict[int, int]:

@@ -231,12 +231,16 @@ class JoinAlgebraSpec:
         """Bilinear extension of the structure constants."""
         if x.family != self.family or y.family != self.family or x.p != self.p or y.p != self.p:
             raise FamilyMismatchError("operands do not live over this algebra")
+        return GradedElement(self.family, self.p, self._product_terms(x.terms, y.terms))
+
+    def _product_terms(self, x_terms: Mapping[int, int], y_terms: Mapping[int, int]) -> dict[int, int]:
+        """join_product on plain {index: coeff} dicts; the result is not reduced mod p."""
         acc: dict[int, int] = {}
-        for ia, ca in x.terms.items():
-            for ib, cb in y.terms.items():
+        for ia, ca in x_terms.items():
+            for ib, cb in y_terms.items():
                 for coeff, idx in self.entry(ia, ib):
                     acc[idx] = acc.get(idx, 0) + ca * cb * coeff
-        return GradedElement(self.family, self.p, acc)
+        return acc
 
     def degree_law_violations(self) -> list[tuple[int, int, int]]:
         """Table terms whose result degree breaks the degree law, as (a, b, index)."""

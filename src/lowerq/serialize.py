@@ -18,15 +18,29 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require(obj: dict, key: str, kind, where: str):
     if key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     val = obj[key]
-    if kind is int and (not isinstance(val, int) or isinstance(val, bool)):
+    if kind is int and not _is_int(val):
         raise SchemaError(f"{where}: key {key!r} must be an integer")
     if kind in (dict, list, str) and not isinstance(val, kind):
         raise SchemaError(f"{where}: key {key!r} must be a {kind.__name__}")
     return val
+
+
+def _terms_from_obj(terms: list, where: str) -> list[tuple[int, int]]:
+    """[[coeff, index], ...] with both entries integers (bool, float and str rejected)."""
+    parsed = []
+    for t in terms:
+        if not (isinstance(t, list) and len(t) == 2 and _is_int(t[0]) and _is_int(t[1])):
+            raise SchemaError(f"{where} must be a [coeff, index] pair of integers, got {t!r}")
+        parsed.append((t[0], t[1]))
+    return parsed
 
 
 def algebra_to_obj(spec: JoinAlgebraSpec) -> dict:
@@ -49,6 +63,8 @@ def algebra_from_obj(obj) -> JoinAlgebraSpec:
     p = _require(obj, "p", int, "algebra spec")
     dim_g = _require(obj, "dim_g", int, "algebra spec")
     gen = _require(obj, "generator", dict, "algebra spec")
+    if gen.get("max_index") is not None and not _is_int(gen["max_index"]):
+        raise SchemaError("generator: key 'max_index' must be an integer")
     family = GeneratorFamily(
         name=_require(gen, "name", str, "generator"),
         degree_a=_require(gen, "degree_a", int, "generator"),
@@ -66,12 +82,7 @@ def algebra_from_obj(obj) -> JoinAlgebraSpec:
             if (a, b) in table:
                 raise SchemaError(f"duplicate product table entry ({a}, {b})")
             terms = _require(row, "terms", list, "product table entry")
-            parsed = []
-            for t in terms:
-                if not (isinstance(t, list) and len(t) == 2):
-                    raise SchemaError("product term must be a [coeff, index] pair")
-                parsed.append((t[0], t[1]))
-            table[(a, b)] = parsed
+            table[(a, b)] = _terms_from_obj(terms, "product term")
     try:
         return JoinAlgebraSpec(p, dim_g, family, table)
     except ValueError as e:
@@ -115,12 +126,8 @@ def module_from_obj(obj) -> ModuleSpec:
             op = _require(row, "op", int, "action table entry")
             gen = _require(row, "gen", int, "action table entry")
             terms = _require(row, "terms", list, "action table entry")
-            parsed = []
-            for t in terms:
-                if not (isinstance(t, list) and len(t) == 2):
-                    raise SchemaError("action term must be a [coeff, index] pair")
-                parsed.append((t[0] % algebra.p, t[1]))
-            entries[(op, gen)] = [(c, i) for c, i in parsed if c]
+            parsed = _terms_from_obj(terms, "action term")
+            entries[(op, gen)] = [(c % algebra.p, i) for c, i in parsed if c % algebra.p]
         try:
             table = ActionTable(
                 _require(tab, "max_op", int, "action table"),

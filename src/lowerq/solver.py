@@ -12,6 +12,16 @@ nonzero coefficient, a slot beyond the degree bound are deferred
 Gaussian elimination over F_p to reduced row-echelon form with columns
 ordered lexicographically by (a, b), so ranks, free slots and nullspace
 bases are reproducible.
+
+The reported Cartan rectangle needs, for every generator square
+[0, g] x [0, g], the first n at which some instance (n, a, b) of the
+square is deferred. The main loop has already classified every canonical
+pair a <= b for every n <= max_degree, so it records the first deferred
+n of each pair and the rectangle search reads those flags instead of
+rebuilding instances. The ordered pair (b, a) needs no flag of its own:
+its expansion mentions the same slots as that of (a, b), with the roles
+of i and j swapped, and its coefficients differ only by commutation
+signs, which are +-1 and so never turn a nonzero coefficient into zero.
 """
 
 from __future__ import annotations
@@ -25,24 +35,35 @@ Slot = tuple[int, int]
 
 
 def rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon form over F_p; returns (nonzero rows, pivot columns)."""
-    rows = [r[:] for r in rows]
+    """Reduced row-echelon form over F_p; returns (nonzero rows, pivot columns).
+
+    Rows come in and go out dense; the elimination itself runs on sparse
+    {col: value} rows holding only nonzero reduced entries, because the
+    Cartan systems are about 1% nonzero.
+    """
+    sparse = [{c: v % p for c, v in enumerate(row) if v % p} for row in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        pivot = next((i for i in range(r, len(sparse)) if col in sparse[i]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][col], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        sparse[r], sparse[pivot] = sparse[pivot], sparse[r]
+        inv = pow(sparse[r][col], -1, p)
+        prow = sparse[r] = {c: v * inv % p for c, v in sparse[r].items()}
+        for i, row in enumerate(sparse):
+            f = row.get(col)
+            if f is None or i == r:
+                continue
+            for c, v in prow.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
         pivots.append(col)
         r += 1
-    return rows[:r], pivots
+    return [[row.get(c, 0) for c in range(ncols)] for row in sparse[:r]], pivots
 
 
 def nullspace_basis(
@@ -188,15 +209,15 @@ def _instance_rows(m: ModuleSpec, cols: dict[Slot, int], n: int, a: int, b: int)
     lhs_sign = 1 if a <= b else spec.sign(fam.degree(a), fam.degree(b))
     lhs_target = spec.slot_target(a, b)
     if lhs_target is not None:
-        for mgen, alpha in m.act(n, lhs_target).terms.items():
+        for mgen, alpha in m._act_terms(n, lhs_target):
             add(mgen, lhs_slot, alpha * lhs_sign)
     for i in range(n + 1):
-        qa = m.act(i, a)
-        if qa.is_zero():
+        qa = m._act_terms(i, a)
+        if not qa:
             continue
-        qb = m.act(n - i, b)
-        for u, beta in qa.terms.items():
-            for v, gamma in qb.terms.items():
+        qb = m._act_terms(n - i, b)
+        for u, beta in qa:
+            for v, gamma in qb:
                 slot = (u, v) if u <= v else (v, u)
                 target = spec.slot_target(*slot)
                 if target is None:
@@ -207,24 +228,22 @@ def _instance_rows(m: ModuleSpec, cols: dict[Slot, int], n: int, a: int, b: int)
     return rows, deferred
 
 
-def _cartan_rectangle(m: ModuleSpec, cols: dict[Slot, int], covered: set[Slot], max_degree: int) -> tuple[int, int] | None:
+def _cartan_rectangle(first_deferred: dict[Slot, int], max_degree: int) -> tuple[int, int] | None:
     """Largest-coverage rectangle (max_n, max_gen) whose every Cartan
     instance is expressible within the solved slots; None when no instance
-    is coverable at all."""
+    is coverable at all.
+
+    first_deferred maps every canonical pair within the degree bound to the
+    first n whose instance was deferred, or max_degree + 1 when none was.
+    """
     best = None
     best_score = -1
+    limit = max_degree + 1  # first deferred n over the square [0, g] x [0, g]
     g = 0
-    while (g, g) in covered:
-        n = 0
-        while n <= max_degree:
-            if any(
-                _instance_rows(m, cols, n, a, b)[1]
-                for a in range(g + 1)
-                for b in range(g + 1)
-            ):
-                break
-            n += 1
-        max_n = n - 1
+    while (g, g) in first_deferred:
+        for a in range(g + 1):
+            limit = min(limit, first_deferred[(a, g)])
+        max_n = limit - 1
         if max_n >= 0:
             score = (max_n + 1) * (g + 1) * (g + 1)
             if score > best_score or (score == best_score and g > best[1]):
@@ -251,12 +270,15 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
     sparse_rows: list[dict[int, int]] = []
     instances = 0
     deferred = 0
+    first_deferred: dict[Slot, int] = {}
     for (a, b) in sorted(slots + zero_pairs):
+        first_deferred[(a, b)] = max_degree + 1
         for n in range(max_degree + 1):
             instances += 1
             rows, was_deferred = _instance_rows(m, cols, n, a, b)
             if was_deferred:
                 deferred += 1
+                first_deferred[(a, b)] = min(first_deferred[(a, b)], n)
                 continue
             sparse_rows.extend(rows)
     # An odd sign exponent forces diagonal entries to vanish outright.
@@ -270,7 +292,6 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
     rref, pivots = rref_mod_p(dense, len(slots), p)
     basis_vecs = nullspace_basis(rref, pivots, len(slots), p)
     pivot_set = set(pivots)
-    covered = set(slots) | set(zero_pairs)
     return SolverResult(
         p=p,
         max_degree=max_degree,
@@ -282,7 +303,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         pivot_slots=[slots[c] for c in pivots],
         free_slots=[slots[c] for c in range(len(slots)) if c not in pivot_set],
         basis=[{slots[i]: v for i, v in enumerate(vec) if v} for vec in basis_vecs],
-        cartan_rectangle=_cartan_rectangle(m, cols, covered, max_degree),
+        cartan_rectangle=_cartan_rectangle(first_deferred, max_degree),
         system=system,
         targets=targets,
     )

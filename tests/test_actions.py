@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -212,3 +214,45 @@ class TestModulePlumbing:
     def test_flip_without_target_rejected(self):
         with pytest.raises(ValueError):
             flip_coefficient(M, 1, 0)  # odd op: target degree is odd
+
+
+class TestActionMemo:
+    def test_range_error_is_not_cached(self):
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, S1_FAMILY), ActionTable(2, 2, {(0, 0): [(1, 1)]}))
+        for _ in range(2):
+            with pytest.raises(ActionRangeError):
+                m.act(3, 0)
+            with pytest.raises(ActionRangeError):
+                m.apply_word(w2(4), x(0))
+
+    def test_callable_called_once_per_pair_per_module(self):
+        for _ in range(2):  # a second module starts with an empty memo
+            calls = Counter()
+
+            def counting(op, gen):
+                calls[(op, gen)] += 1
+                return s1_action(op, gen)
+
+            m = ModuleSpec(s1_algebra(), counting)
+            for _ in range(3):
+                m.apply_word(w2(4, 2, 0), x(1) + x(2))
+                m.act(0, 1)
+            assert (0, 1) in calls and (2, 5) in calls
+            assert set(calls.values()) == {1}
+
+    def test_flipped_module_and_base_keep_distinct_answers(self):
+        base = s1_module()
+        flipped = flip_coefficient(base, 4, 1)
+        for _ in range(2):
+            assert base.act(4, 1) == x(5)
+            assert flipped.act(4, 1).is_zero()
+            assert base.apply_word(w2(4), x(1)) == x(5)
+            assert flipped.apply_word(w2(4), x(1)).is_zero()
+
+    def test_mutating_a_result_leaves_the_memo_alone(self):
+        m = s1_module()
+        out = m.act(0, 0)
+        out.terms[7] = 1
+        out.terms.pop(1)
+        assert m.act(0, 0) == x(1)
+        assert m.apply_op(0, x(0)) == x(1)

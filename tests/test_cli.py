@@ -232,6 +232,37 @@ class TestFileModules:
         code, _, err = run(capsys, "compute", "--module", str(path), "--word", "0", "--gen", "0")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            ("product_terms", ["1", 1]),
+            ("product_terms", [1.5, 1]),
+            ("product_terms", [1, "1"]),
+            ("max_index", "9"),
+            ("action_terms", [1.5, 1]),
+            ("action_terms", [1, "1"]),
+            ("action_terms", [True, 1]),
+        ],
+    )
+    def test_non_integer_is_data_error(self, capsys, tmp_path, kind, bad):
+        path = tmp_path / "doc.json"
+        if kind == "action_terms":
+            table = {"max_op": 2, "max_gen": 2, "entries": [{"op": 0, "gen": 0, "terms": [bad]}]}
+            path.write_text(json.dumps({"algebra": S1_SPEC_NO_TABLE, "action_table": table}))
+            argv = ("compute", "--module", str(path), "--word", "0", "--gen", "0")
+        else:
+            spec = dict(S1_SPEC_NO_TABLE, product_table=[{"a": 0, "b": 0, "terms": [[1, 1]]}])
+            if kind == "max_index":
+                spec["generator"] = dict(spec["generator"], max_index=bad)
+            else:
+                spec["product_table"] = [{"a": 0, "b": 0, "terms": [bad]}]
+            path.write_text(json.dumps(spec))
+            argv = ("verify", "signs", "--spec", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("data error:") and err.count("\n") == 1
+
     def test_builtin_action_under_renamed_family(self, capsys, tmp_path):
         algebra = dict(S1_SPEC_NO_TABLE, generator={"name": "y", "degree_a": 2, "degree_b": 0})
         path = tmp_path / "mod.json"

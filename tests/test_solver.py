@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowerq import (
     ActionTable,
@@ -6,12 +7,76 @@ from lowerq import (
     JoinAlgebraSpec,
     ModuleSpec,
     lucas_binom,
+    s1_algebra,
     s1_module,
     solve_product_table,
     verify_cartan,
     verify_sign_laws,
 )
 from lowerq.solver import _instance_rows, nullspace_basis, rref_mod_p
+
+
+# --- references: the dense elimination and the recomputing rectangle search
+# that the solver used before it ran on sparse rows and deferral flags ---
+
+
+def dense_rref_mod_p(rows, ncols, p):
+    rows = [r[:] for r in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+def recomputed_cartan_rectangle(m, cols, covered, max_degree):
+    best = None
+    best_score = -1
+    g = 0
+    while (g, g) in covered:
+        n = 0
+        while n <= max_degree:
+            if any(
+                _instance_rows(m, cols, n, a, b)[1]
+                for a in range(g + 1)
+                for b in range(g + 1)
+            ):
+                break
+            n += 1
+        max_n = n - 1
+        if max_n >= 0:
+            score = (max_n + 1) * (g + 1) * (g + 1)
+            if score > best_score or (score == best_score and g > best[1]):
+                best = (max_n, g)
+                best_score = score
+        g += 1
+    return best
+
+
+def reference_rectangle(module, result):
+    cols = {slot: i for i, slot in enumerate(result.slots)}
+    return recomputed_cartan_rectangle(module, cols, set(result.targets), result.max_degree)
+
+
+@st.composite
+def matrices(draw):
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nrows = draw(st.integers(min_value=0, max_value=30))
+    ncols = draw(st.integers(min_value=0, max_value=20))
+    entry = st.integers(min_value=-p, max_value=2 * p)
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    return rows, ncols, p
 
 
 class TestLinearAlgebra:
@@ -33,6 +98,12 @@ class TestLinearAlgebra:
         for vec in nullspace_basis(rref, pivots, 4, 3):
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) % 3 == 0
+
+    @given(matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_rref_matches_dense_reference(self, case):
+        rows, ncols, p = case
+        assert rref_mod_p(rows, ncols, p) == dense_rref_mod_p(rows, ncols, p)
 
     def test_nullspace_dimension(self):
         rows = [[1, 0, 1], [0, 1, 1]]
@@ -99,6 +170,12 @@ class TestSolveS1:
         assert result.deferred > 0
         assert result.instances == len(result.slots) * (result.max_degree + 1)
 
+    def test_rectangle_matches_recomputed_reference(self):
+        m = s1_module()
+        for d in range(41):
+            result = solve_product_table(m, d)
+            assert result.cartan_rectangle == reference_rectangle(m, result), d
+
     def test_slots_in_lexicographic_order(self, result):
         assert result.slots == sorted(result.slots)
 
@@ -132,9 +209,20 @@ class TestSolverEdges:
         ]
         assert forced  # (0,0) at least
         assert result.rank == len(forced)
+        assert result.cartan_rectangle == reference_rectangle(module, result)
         for vec in result.basis:
             for slot in forced:
                 assert vec.get(slot, 0) == 0
+
+    @given(st.sets(st.tuples(st.integers(0, 10), st.integers(0, 20)), max_size=40))
+    @settings(max_examples=30, deadline=None)
+    def test_rectangle_matches_reference_on_random_tables(self, cells):
+        # sparse degree-lawful circle actions Q_{2j}(x_g) = x_{2g+j+1}, so that
+        # off-diagonal pairs can defer before the diagonal one
+        entries = {(2 * j, g): [(1, 2 * g + j + 1)] for j, g in cells}
+        module = ModuleSpec(s1_algebra(), ActionTable(20, 20, entries))
+        result = solve_product_table(module, 20)
+        assert result.cartan_rectangle == reference_rectangle(module, result)
 
     def test_non_injective_family_rejected(self):
         fam = GeneratorFamily("pt", 0, 0)
