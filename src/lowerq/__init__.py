@@ -7,17 +7,12 @@ from .algebra import (
     GradedElement,
     JoinAlgebraSpec,
     commutativity_sign,
-    element_add,
-    join_product,
     n_fold_degree,
 )
 from .actions import (
     ActionTable,
     ModuleSpec,
-    apply_sum,
-    apply_word,
     builtin_module,
-    cartan_expand,
     flip_coefficient,
     s1_action,
     s1_algebra,
@@ -54,19 +49,14 @@ __all__ = [
     "ThetaIndex",
     "VerificationReport",
     "adem_rewrite",
-    "apply_sum",
-    "apply_word",
     "binom_mod_p",
     "builtin_module",
-    "cartan_expand",
     "commutativity_sign",
-    "element_add",
     "flip_coefficient",
     "fp_add",
     "fp_mul",
     "is_admissible",
     "is_prime",
-    "join_product",
     "lucas_binom",
     "n_fold_degree",
     "op_degree",

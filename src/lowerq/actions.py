@@ -32,15 +32,21 @@ def s1_algebra(product_table=None) -> JoinAlgebraSpec:
     return JoinAlgebraSpec(2, 1, S1_FAMILY, product_table)
 
 
-def s1_action(op_index: int, gen_index: int) -> GradedElement:
-    """Closed-form circle action: Q_{2j}(x_i) = C(i+j, j) x_{2i+j+1}, Q_odd = 0."""
+def _s1_terms(op_index: int, gen_index: int) -> ActionTerms:
+    """Q_{2j}(x_i) = C(i+j, j) x_{2i+j+1} and Q_odd = 0, as nonzero
+    (index, coeff) terms."""
     if op_index < 0 or gen_index < 0:
         raise ValueError("indices must be nonnegative")
     if op_index % 2:
-        return GradedElement.zero(S1_FAMILY, 2)
+        return ()
     j = op_index // 2
     c = lucas_binom(gen_index + j, j, 2)
-    return GradedElement(S1_FAMILY, 2, {2 * gen_index + j + 1: c})
+    return ((2 * gen_index + j + 1, c),) if c else ()
+
+
+def s1_action(op_index: int, gen_index: int) -> GradedElement:
+    """Closed-form circle action: Q_{2j}(x_i) = C(i+j, j) x_{2i+j+1}, Q_odd = 0."""
+    return GradedElement(S1_FAMILY, 2, _s1_terms(op_index, gen_index))
 
 
 class ActionTable:
@@ -82,16 +88,15 @@ class ModuleSpec:
     """A graded basis with an operation action over a JoinAlgebraSpec.
 
     The action is a builtin name, an ActionTable or a callable
-    (op, gen) -> GradedElement. Every module keeps its own memo of the
-    action on single generators: each (op, gen) pair is built once through
-    the rule, checked against the family and reduced mod p, and then
-    served from the memo as (index, coeff) terms. A callable action must
+    (op, gen) -> GradedElement. The constructor turns it, once, into one
+    rule (op, gen) -> (index, coeff) terms. Every module keeps its own
+    memo of that rule on single generators: each (op, gen) pair is built
+    once, checked against the family and reduced mod p, and then served
+    from the memo. A callable action must
     therefore be a pure function of (op, gen); it is called at most once
     per pair per module. Errors are never memoized: a query that raised
     raises again.
     """
-
-    BUILTIN_ACTIONS = ("s1_p2",)
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
         self.algebra = algebra
@@ -105,9 +110,13 @@ class ModuleSpec:
                 algebra.family.degree_b,
             ) != (2, 0):
                 raise ValueError("s1_p2 action requires p=2, dim_g=1 and degree rule 2i")
+            self._rule = _s1_terms
         elif isinstance(action, ActionTable):
             self._check_table_degrees(action)
-        elif not callable(action):
+            self._rule = lambda op, gen: [(idx, c) for c, idx in action.lookup(op, gen)]
+        elif callable(action):
+            self._rule = lambda op, gen: action(op, gen).terms.items()
+        else:
             raise TypeError("action must be a builtin name, an ActionTable or a callable")
 
     def _check_table_degrees(self, table: ActionTable) -> None:
@@ -131,24 +140,13 @@ class ModuleSpec:
     def basis_element(self, index: int, coeff: int = 1) -> GradedElement:
         return GradedElement.generator(self.family, self.p, index, coeff)
 
-    def zero(self) -> GradedElement:
-        return GradedElement.zero(self.family, self.p)
-
     def _act_terms(self, op_index: int, gen_index: int) -> ActionTerms:
         """The integer action kernel: Q_op(x_gen) as reduced nonzero
         (index, coeff) terms sorted by index, memoized per module."""
         key = (op_index, gen_index)
         terms = self._memo.get(key)
         if terms is None:
-            if isinstance(self.action, str):
-                out = s1_action(op_index, gen_index)
-            elif isinstance(self.action, ActionTable):
-                entry = self.action.lookup(op_index, gen_index)
-                out = GradedElement(self.family, self.p, _entry_dict(entry))
-            else:
-                out = self.action(op_index, gen_index)
-            if out.family != self.family or out.p != self.p:
-                out = GradedElement(self.family, self.p, out.terms)
+            out = GradedElement(self.family, self.p, self._rule(op_index, gen_index))
             terms = self._memo[key] = tuple(sorted(out.terms.items()))
         return terms
 
@@ -200,25 +198,6 @@ class ModuleSpec:
                 for idx, c in self.algebra._product_terms(qa, qb).items():
                     acc[idx] = acc.get(idx, 0) + c
         return GradedElement(self.family, self.p, acc)
-
-
-def _entry_dict(entry: ActionEntry) -> dict[int, int]:
-    acc: dict[int, int] = {}
-    for coeff, idx in entry:
-        acc[idx] = acc.get(idx, 0) + coeff
-    return acc
-
-
-def apply_word(m: ModuleSpec, w: OperationWord | Sequence[int], x: GradedElement) -> GradedElement:
-    return m.apply_word(w, x)
-
-
-def apply_sum(m: ModuleSpec, s: OperationSum, x: GradedElement) -> GradedElement:
-    return m.apply_sum(s, x)
-
-
-def cartan_expand(m: ModuleSpec, n: int, a: GradedElement, b: GradedElement) -> GradedElement:
-    return m.cartan_expand(n, a, b)
 
 
 # --- candidate product tables for the circle module -------------------

@@ -139,11 +139,6 @@ class GradedElement:
         return f"<{self.render()} over F_{self.p}>"
 
 
-def element_add(x: GradedElement, y: GradedElement) -> GradedElement:
-    """Coefficient-wise sum, re-canonicalized."""
-    return x + y
-
-
 def n_fold_degree(n: int, degrees: Iterable[int], dim_g: int) -> int:
     """Degree of an n-fold product: sum of degrees plus (n-1)*(dim_g+1)."""
     degrees = list(degrees)
@@ -207,7 +202,7 @@ class JoinAlgebraSpec:
 
     def sign(self, deg_a: int, deg_b: int) -> int:
         """Commutation sign for a pair of degrees, as a reduced int."""
-        return commutativity_sign(deg_a, deg_b, self.dim_g, self.p).value
+        return self.p - 1 if sign_exponent(deg_a, deg_b, self.dim_g) % 2 else 1
 
     def slot_target(self, a: int, b: int) -> int | None:
         """Generator index forced by the degree law for the product of a and b."""
@@ -258,8 +253,3 @@ class JoinAlgebraSpec:
     def __repr__(self):
         n = len(self.product_table) if self.product_table is not None else "no"
         return f"JoinAlgebraSpec(p={self.p}, dim_g={self.dim_g}, {self.family.name}, {n} table entries)"
-
-
-def join_product(spec: JoinAlgebraSpec, x: GradedElement, y: GradedElement) -> GradedElement:
-    """Product of x and y under the given algebra's structure constants."""
-    return spec.join_product(x, y)

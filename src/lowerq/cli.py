@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success (verifications clean), 1 verification failures
-found, 2 usage error, 3 data error (bad files, undefined products,
-out-of-range action queries).
+found, 2 usage error, 3 data error (any ValueError the data raises:
+bad files, undefined products, out-of-range action queries or generator
+indices, a degree rule the solver cannot use).
 
 Words are comma-separated unsigned decimals; the leftmost index is
 applied last, so --word 2,0 means apply Q_0 first and Q_2 to the result.
@@ -25,12 +26,6 @@ from .actions import (
     s1_candidate_table,
 )
 from .algebra import JoinAlgebraSpec
-from .errors import (
-    ActionRangeError,
-    RelationDataError,
-    SchemaError,
-    UndefinedProductError,
-)
 from .operations import OperationWord, RelationTable
 from .serialize import (
     algebra_from_obj,
@@ -178,11 +173,15 @@ def _finish_verify(report, label: str, fmt: str) -> int:
 
 def cmd_verify(args) -> int:
     if args.kind == "adem":
+        if args.max_index < 0 or args.max_gen < 0:
+            raise UsageError("verify bounds must be unsigned decimals")
         module = _resolve_module(args.module)
         relations = _load_relations(args.relations, module.p)
         report = verify_adem(module, args.max_index, args.max_gen, relations=relations)
         return _finish_verify(report, "adem", args.format)
     if args.kind == "cartan":
+        if args.max_n < 0 or args.max_gen < 0:
+            raise UsageError("verify bounds must be unsigned decimals")
         size = 4 * args.max_gen + args.max_n // 2 + 2
         module = _resolve_module(args.module, args.table, size)
         report = verify_cartan(module, args.max_n, args.max_gen)
@@ -328,7 +327,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (SchemaError, UndefinedProductError, ActionRangeError, RelationDataError) as e:
+    except ValueError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

@@ -159,33 +159,35 @@ class SolverResult:
         }
 
 
-def _enumerate_pairs(m: ModuleSpec, max_degree: int):
-    """Canonical pairs within the degree bound, split into unknown slots
-    (target generator exists) and forced-zero pairs (no target degree)."""
+def _enumerate_pairs(m: ModuleSpec, max_degree: int) -> dict[Slot, int | None]:
+    """Canonical pairs within the degree bound, in lexicographic order,
+    each mapped to its target generator, or to None for a pair forced to
+    zero (no generator in its product degree)."""
     spec = m.algebra
     fam = spec.family
     if fam.degree_a <= 0:
         raise ValueError("solver needs an injective degree rule (degree_a > 0)")
-    slots: list[Slot] = []
-    zero_pairs: list[Slot] = []
+    targets: dict[Slot, int | None] = {}
     a = 0
     while fam.degree(a) * 2 + spec.dim_g + 1 <= max_degree:
         b = a
         while fam.degree(a) + fam.degree(b) + spec.dim_g + 1 <= max_degree:
-            if spec.slot_target(a, b) is not None:
-                slots.append((a, b))
-            else:
-                zero_pairs.append((a, b))
+            targets[(a, b)] = spec.slot_target(a, b)
             b += 1
         a += 1
-    return slots, zero_pairs
+    return targets
 
 
-def _instance_rows(m: ModuleSpec, cols: dict[Slot, int], n: int, a: int, b: int):
+def _instance_rows(
+    m: ModuleSpec, cols: dict[Slot, int], targets: dict[Slot, int | None], n: int, a: int, b: int
+):
     """Sparse rows (one per target generator) of one Cartan instance.
 
-    Returns (rows, deferred): deferred is True when the instance mentions,
-    with nonzero coefficient, an unknown outside the solved range.
+    targets is the slot map of _enumerate_pairs and must hold the pair
+    (a, b); the target of a product term outside it is worked out from the
+    degree law. Returns (rows, deferred): deferred is True when the
+    instance mentions, with nonzero coefficient, an unknown outside the
+    solved range.
     """
     spec = m.algebra
     p = spec.p
@@ -207,7 +209,7 @@ def _instance_rows(m: ModuleSpec, cols: dict[Slot, int], n: int, a: int, b: int)
 
     lhs_slot = (a, b) if a <= b else (b, a)
     lhs_sign = 1 if a <= b else spec.sign(fam.degree(a), fam.degree(b))
-    lhs_target = spec.slot_target(a, b)
+    lhs_target = targets[lhs_slot]
     if lhs_target is not None:
         for mgen, alpha in m._act_terms(n, lhs_target):
             add(mgen, lhs_slot, alpha * lhs_sign)
@@ -219,7 +221,7 @@ def _instance_rows(m: ModuleSpec, cols: dict[Slot, int], n: int, a: int, b: int)
         for u, beta in qa:
             for v, gamma in qb:
                 slot = (u, v) if u <= v else (v, u)
-                target = spec.slot_target(*slot)
+                target = targets[slot] if slot in targets else spec.slot_target(*slot)
                 if target is None:
                     continue  # forced zero by the degree law
                 sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
@@ -262,20 +264,19 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
     """
     spec = m.algebra
     p = spec.p
-    slots, zero_pairs = _enumerate_pairs(m, max_degree)
+    targets = _enumerate_pairs(m, max_degree)
+    slots = [slot for slot, target in targets.items() if target is not None]
     cols = {slot: i for i, slot in enumerate(slots)}
-    targets: dict[Slot, int | None] = {slot: spec.slot_target(*slot) for slot in slots}
-    targets.update({pair: None for pair in zero_pairs})
 
     sparse_rows: list[dict[int, int]] = []
     instances = 0
     deferred = 0
     first_deferred: dict[Slot, int] = {}
-    for (a, b) in sorted(slots + zero_pairs):
+    for (a, b) in targets:
         first_deferred[(a, b)] = max_degree + 1
         for n in range(max_degree + 1):
             instances += 1
-            rows, was_deferred = _instance_rows(m, cols, n, a, b)
+            rows, was_deferred = _instance_rows(m, cols, targets, n, a, b)
             if was_deferred:
                 deferred += 1
                 first_deferred[(a, b)] = min(first_deferred[(a, b)], n)

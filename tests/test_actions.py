@@ -256,3 +256,18 @@ class TestActionMemo:
         out.terms.pop(1)
         assert m.act(0, 0) == x(1)
         assert m.apply_op(0, x(0)) == x(1)
+
+    def test_builtin_target_outside_family_is_not_cached(self):
+        fam = GeneratorFamily("x", 2, 0, max_index=3)
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, fam), "s1_p2")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                m.act(0, 2)  # Q_0(x_2) = x_5
+
+    def test_table_entry_repeating_a_target_merges(self):
+        table = ActionTable(2, 2, {(0, 0): [(1, 1), (1, 1)]})
+        assert ModuleSpec(JoinAlgebraSpec(2, 1, S1_FAMILY), table).act(0, 0).is_zero()
+        fam = GeneratorFamily("e", 1, 0)
+        table = ActionTable(2, 2, {(0, 0): [(1, 2), (1, 2)]})
+        m = ModuleSpec(JoinAlgebraSpec(3, 0, fam), table)
+        assert m.act(0, 0) == GradedElement.generator(fam, 3, 2, 2)

@@ -54,6 +54,15 @@ class TestCompute:
     def test_negative_word_index(self, capsys):
         code, _, err = run(capsys, "compute", "--module", "s1_p2", "--word", "-3", "--gen", "0")
         assert code == 2
+        for argv in (
+            ("verify", "adem", "--module", "s1_p2", "--max-index", "-3", "--max-gen", "2"),
+            ("verify", "adem", "--module", "s1_p2", "--max-index", "3", "--max-gen", "-2"),
+            ("verify", "cartan", "--module", "s1_p2", "--max-n", "2", "--max-gen", "-2"),
+            ("verify", "cartan", "--module", "s1_p2", "--max-n", "-1", "--max-gen", "2"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and err.startswith("usage error:")
 
     def test_unknown_module(self, capsys):
         code, _, err = run(capsys, "compute", "--module", "missing", "--word", "0", "--gen", "0")
@@ -259,6 +268,28 @@ class TestFileModules:
             path.write_text(json.dumps(spec))
             argv = ("verify", "signs", "--spec", str(path))
         code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "generator, action, argv",
+        [
+            ({"max_index": 3}, "s1_p2", ("compute", "--word", "0,0", "--gen", "1")),
+            ({"max_index": 3}, "s1_p2", ("solve", "--max-degree", "20")),
+            ({"degree_a": 0}, None, ("solve", "--max-degree", "4")),
+        ],
+    )
+    def test_value_error_is_data_error(self, capsys, tmp_path, generator, action, argv):
+        algebra = dict(S1_SPEC_NO_TABLE, generator=dict(S1_SPEC_NO_TABLE["generator"], **generator))
+        if action is None:
+            module_obj = {"algebra": dict(algebra, p=3, dim_g=0),
+                          "action_table": {"max_op": 2, "max_gen": 2, "entries": []}}
+        else:
+            module_obj = {"algebra": algebra, "action": action}
+        path = tmp_path / "mod.json"
+        path.write_text(json.dumps(module_obj))
+        code, out, err = run(capsys, argv[0], "--module", str(path), *argv[1:])
         assert code == 3
         assert out == ""
         assert err.startswith("data error:") and err.count("\n") == 1

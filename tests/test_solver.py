@@ -40,15 +40,15 @@ def dense_rref_mod_p(rows, ncols, p):
     return rows[:r], pivots
 
 
-def recomputed_cartan_rectangle(m, cols, covered, max_degree):
+def recomputed_cartan_rectangle(m, cols, targets, max_degree):
     best = None
     best_score = -1
     g = 0
-    while (g, g) in covered:
+    while (g, g) in targets:
         n = 0
         while n <= max_degree:
             if any(
-                _instance_rows(m, cols, n, a, b)[1]
+                _instance_rows(m, cols, targets, n, a, b)[1]
                 for a in range(g + 1)
                 for b in range(g + 1)
             ):
@@ -66,7 +66,7 @@ def recomputed_cartan_rectangle(m, cols, covered, max_degree):
 
 def reference_rectangle(module, result):
     cols = {slot: i for i, slot in enumerate(result.slots)}
-    return recomputed_cartan_rectangle(module, cols, set(result.targets), result.max_degree)
+    return recomputed_cartan_rectangle(module, cols, result.targets, result.max_degree)
 
 
 @st.composite
@@ -121,7 +121,7 @@ class TestSolveS1:
     def test_first_equation_links_strata(self, result):
         # Q_0(x_0 * x_0) = c_{0,0} x_3 and Q_0(x_0) * Q_0(x_0) = c_{1,1} x_3
         cols = {slot: i for i, slot in enumerate(result.slots)}
-        rows, deferred = _instance_rows(s1_module(), cols, 0, 0, 0)
+        rows, deferred = _instance_rows(s1_module(), cols, result.targets, 0, 0, 0)
         assert not deferred
         assert rows == [{cols[(0, 0)]: 1, cols[(1, 1)]: 1}]
         for vec in result.basis:
