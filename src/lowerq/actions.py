@@ -14,6 +14,8 @@ the rectangle are errors, not zeros.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import GeneratorFamily, GradedElement, JoinAlgebraSpec
@@ -96,12 +98,22 @@ class ModuleSpec:
     therefore be a pure function of (op, gen); it is called at most once
     per pair per module. Errors are never memoized: a query that raised
     raises again.
+
+    On top of the memo each module keeps an index of nonzero operations:
+    for a generator g, the ops i with Q_i(x_g) != 0 and their terms, in
+    increasing i. It grows lazily with the bound n it is asked for and
+    reads only the memo, so it records nothing beyond a query that
+    raised. The Cartan loops of cartan_expand and of the solver run over
+    it instead of over every i in 0..n; for the circle module only the
+    i = 2j with j & g == 0 are nonzero (Lucas).
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
         self.algebra = algebra
         self.action = action
         self._memo: dict[tuple[int, int], ActionTerms] = {}
+        # gen -> [number of ops indexed, [(op, terms), ...] for the nonzero ones]
+        self._index: dict[int, list] = {}
         if isinstance(action, str):
             if action != "s1_p2":
                 raise ValueError(f"unknown builtin action {action!r}")
@@ -150,6 +162,22 @@ class ModuleSpec:
             terms = self._memo[key] = tuple(sorted(out.terms.items()))
         return terms
 
+    def _nonzero_ops(self, gen_index: int, n: int) -> list[tuple[int, ActionTerms]]:
+        """(i, Q_i(x_gen) terms) for every i <= n with Q_i(x_gen) != 0, in
+        increasing i, read from the memo and kept in the module's index."""
+        entry = self._index.get(gen_index)
+        if entry is None:
+            entry = self._index[gen_index] = [0, []]
+        ops = entry[1]
+        for i in range(entry[0], n + 1):
+            terms = self._act_terms(i, gen_index)
+            entry[0] = i + 1
+            if terms:
+                ops.append((i, terms))
+        if ops and ops[-1][0] > n:
+            return ops[: bisect_right(ops, n, key=itemgetter(0))]
+        return ops
+
     def _apply_op_terms(self, op_index: int, terms: dict[int, int]) -> dict[int, int]:
         acc: dict[int, int] = {}
         for idx, c in terms.items():
@@ -190,8 +218,12 @@ class ModuleSpec:
         """sum_{i+j=n} Q_i(a) * Q_j(b), the product-side of the Cartan formula."""
         if n < 0:
             raise ValueError("operation index must be nonnegative")
+        # Q_i(a) * Q_{n-i}(b) vanishes unless some generator of a has a
+        # nonzero Q_i and some generator of b a nonzero Q_{n-i}.
+        ops_a = {i for g in a.terms for i, _ in self._nonzero_ops(g, n)}
+        ops_b = {n - j for g in b.terms for j, _ in self._nonzero_ops(g, n)}
         acc: dict[int, int] = {}
-        for i in range(n + 1):
+        for i in sorted(ops_a & ops_b):
             qa = self._apply_op_terms(i, a.terms)
             qb = self._apply_op_terms(n - i, b.terms)
             if qa and qb:

@@ -14,8 +14,8 @@ any consistency check built on top of the product.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .errors import FamilyMismatchError, UndefinedProductError
 from .fields import FpScalar, check_prime

@@ -13,6 +13,13 @@ Gaussian elimination over F_p to reduced row-echelon form with columns
 ordered lexicographically by (a, b), so ranks, free slots and nullspace
 bases are reproducible.
 
+An instance's right-hand side runs only over the i with Q_i(x_a) != 0,
+read from the module's index of nonzero operations, and looks up
+Q_{n-i}(x_b) in the memo for each of them, so it queries the same action
+cells as a loop over every i in 0..n. The canonical slot, target and
+commutation sign of each ordered product term (u, v) are worked out once
+per solve and kept in a map that solve_product_table owns.
+
 The reported Cartan rectangle needs, for every generator square
 [0, g] x [0, g], the first n at which some instance (n, a, b) of the
 square is deferred. The main loop has already classified every canonical
@@ -179,21 +186,37 @@ def _enumerate_pairs(m: ModuleSpec, max_degree: int) -> dict[Slot, int | None]:
 
 
 def _instance_rows(
-    m: ModuleSpec, cols: dict[Slot, int], targets: dict[Slot, int | None], n: int, a: int, b: int
+    m: ModuleSpec,
+    cols: dict[Slot, int],
+    targets: dict[Slot, int | None],
+    pairs: dict[Slot, tuple[Slot, int | None, int]],
+    n: int,
+    a: int,
+    b: int,
 ):
     """Sparse rows (one per target generator) of one Cartan instance.
 
     targets is the slot map of _enumerate_pairs and must hold the pair
     (a, b); the target of a product term outside it is worked out from the
-    degree law. Returns (rows, deferred): deferred is True when the
-    instance mentions, with nonzero coefficient, an unknown outside the
-    solved range.
+    degree law. pairs caches, per ordered pair (u, v) of one solve, its
+    canonical slot, that slot's target and the commutation sign of (u, v).
+    Returns (rows, deferred): deferred is True when the instance mentions,
+    with nonzero coefficient, an unknown outside the solved range.
     """
     spec = m.algebra
     p = spec.p
     fam = spec.family
     acc: dict[int, dict[int, int]] = {}
     deferred = False
+
+    def pair(u: int, v: int) -> tuple[Slot, int | None, int]:
+        hit = pairs.get((u, v))
+        if hit is None:
+            slot = (u, v) if u <= v else (v, u)
+            target = targets[slot] if slot in targets else spec.slot_target(*slot)
+            sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
+            hit = pairs[(u, v)] = (slot, target, sgn)
+        return hit
 
     def add(target_gen: int, slot: Slot, coeff: int):
         nonlocal deferred
@@ -207,24 +230,17 @@ def _instance_rows(
         row = acc.setdefault(target_gen, {})
         row[col] = (row.get(col, 0) + coeff) % p
 
-    lhs_slot = (a, b) if a <= b else (b, a)
-    lhs_sign = 1 if a <= b else spec.sign(fam.degree(a), fam.degree(b))
-    lhs_target = targets[lhs_slot]
+    lhs_slot, lhs_target, lhs_sign = pair(a, b)
     if lhs_target is not None:
         for mgen, alpha in m._act_terms(n, lhs_target):
             add(mgen, lhs_slot, alpha * lhs_sign)
-    for i in range(n + 1):
-        qa = m._act_terms(i, a)
-        if not qa:
-            continue
+    for i, qa in m._nonzero_ops(a, n):
         qb = m._act_terms(n - i, b)
         for u, beta in qa:
             for v, gamma in qb:
-                slot = (u, v) if u <= v else (v, u)
-                target = targets[slot] if slot in targets else spec.slot_target(*slot)
+                slot, target, sgn = pair(u, v)
                 if target is None:
                     continue  # forced zero by the degree law
-                sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
                 add(target, slot, -beta * gamma * sgn)
     rows = [row for _, row in sorted(acc.items()) if any(row.values())]
     return rows, deferred
@@ -268,6 +284,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
     slots = [slot for slot, target in targets.items() if target is not None]
     cols = {slot: i for i, slot in enumerate(slots)}
 
+    pairs: dict[Slot, tuple[Slot, int | None, int]] = {}
     sparse_rows: list[dict[int, int]] = []
     instances = 0
     deferred = 0
@@ -276,7 +293,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         first_deferred[(a, b)] = max_degree + 1
         for n in range(max_degree + 1):
             instances += 1
-            rows, was_deferred = _instance_rows(m, cols, targets, n, a, b)
+            rows, was_deferred = _instance_rows(m, cols, targets, pairs, n, a, b)
             if was_deferred:
                 deferred += 1
                 first_deferred[(a, b)] = min(first_deferred[(a, b)], n)

@@ -23,6 +23,7 @@ from lowerq.actions import S1_FAMILY
 from lowerq.errors import ActionRangeError
 
 M = s1_module()
+ONES_70 = s1_candidate_table("ones", 70)  # covers every product of Q_i(x_a), a <= 10, i <= 24
 
 
 def x(i, c=1):
@@ -34,6 +35,48 @@ def w2(*indices):
 
 
 word_lists = st.lists(st.integers(min_value=0, max_value=12), min_size=0, max_size=3)
+
+
+def reference_cartan_expand(m, n, a, b):
+    """The loop over every i in 0..n that cartan_expand ran before it read
+    the index of nonzero operations."""
+    if n < 0:
+        raise ValueError("operation index must be nonnegative")
+    acc = GradedElement.zero(m.family, m.p)
+    for i in range(n + 1):
+        qa = m.apply_op(i, a)
+        qb = m.apply_op(n - i, b)
+        if not qa.is_zero() and not qb.is_zero():
+            acc = acc + m.algebra.join_product(qa, qb)
+    return acc
+
+
+# p = 3, dim_g = 0, degree rule i -> i: Q_op(e_g) lies in degree 3g + 2 + 4op
+# and e_a * e_b in degree a + b + 1, so both targets are forced.
+E_FAMILY = GeneratorFamily("e", 1, 0)
+E_MAX = 6
+
+
+def e_element(terms):
+    return GradedElement(E_FAMILY, 3, terms)
+
+
+@st.composite
+def e_modules(draw):
+    cells = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, E_MAX), st.integers(0, E_MAX)), st.integers(1, 2), max_size=30
+        )
+    )
+    salt = draw(st.integers(0, 2))
+    top = 3 * E_MAX + 2 + 4 * E_MAX
+    products = {}
+    for a in range(top + 1):
+        for b in range(a, top + 1):
+            c = (7 * a + 3 * b + salt) % 3
+            products[(a, b)] = ((c, a + b + 1),) if c else ()
+    entries = {(op, g): [(c, 3 * g + 2 + 4 * op)] for (op, g), c in cells.items()}
+    return ModuleSpec(JoinAlgebraSpec(3, 0, E_FAMILY, products), ActionTable(E_MAX, E_MAX, entries))
 
 
 class TestS1Action:
@@ -126,6 +169,38 @@ class TestCartanExpand:
         zero = GradedElement.zero(S1_FAMILY, 2)
         assert m.cartan_expand(5, zero, x(0)).is_zero()
         assert m.cartan_expand(5, x(0), zero).is_zero()
+
+
+    @given(
+        n=st.integers(min_value=0, max_value=24),
+        a=st.dictionaries(st.integers(0, 10), st.just(1), max_size=4),
+        b=st.dictionaries(st.integers(0, 10), st.just(1), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_loop_on_ones_table(self, n, a, b):
+        m = s1_module(ONES_70)
+        xa = GradedElement(S1_FAMILY, 2, a)
+        xb = GradedElement(S1_FAMILY, 2, b)
+        assert m.cartan_expand(n, xa, xb) == reference_cartan_expand(m, n, xa, xb)
+
+    @given(
+        m=e_modules(),
+        n=st.integers(min_value=0, max_value=E_MAX),
+        a=st.dictionaries(st.integers(0, E_MAX), st.integers(1, 2), max_size=3),
+        b=st.dictionaries(st.integers(0, E_MAX), st.integers(1, 2), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_loop_on_table_module(self, m, n, a, b):
+        xa, xb = e_element(a), e_element(b)
+        assert m.cartan_expand(n, xa, xb) == reference_cartan_expand(m, n, xa, xb)
+
+    def test_beyond_max_op_still_raises(self):
+        m = ModuleSpec(JoinAlgebraSpec(3, 0, E_FAMILY, {}), ActionTable(E_MAX, E_MAX, {}))
+        e0 = e_element({0: 1})
+        for expand in (m.cartan_expand, lambda n, a, b: reference_cartan_expand(m, n, a, b)):
+            for _ in range(2):
+                with pytest.raises(ActionRangeError):
+                    expand(E_MAX + 1, e0, e0)
 
 
 class TestCandidateTables:
@@ -271,3 +346,37 @@ class TestActionMemo:
         table = ActionTable(2, 2, {(0, 0): [(1, 2), (1, 2)]})
         m = ModuleSpec(JoinAlgebraSpec(3, 0, fam), table)
         assert m.act(0, 0) == GradedElement.generator(fam, 3, 2, 2)
+
+
+class TestNonzeroOpIndex:
+    def test_s1_index_is_the_lucas_pattern(self):
+        m = s1_module()
+        for g in range(41):
+            # grows the index one op at a time, then reads prefixes of it
+            for n in [*range(81), *range(80, -1, -1)]:
+                ops = m._nonzero_ops(g, n)
+                assert [i for i, _ in ops] == [2 * j for j in range(n // 2 + 1) if not j & g]
+                assert all(terms == m._act_terms(i, g) for i, terms in ops)
+
+    def test_growth_matches_a_fresh_query(self):
+        grown = s1_module()
+        grown._nonzero_ops(3, 5)
+        fresh = s1_module()
+        assert grown._nonzero_ops(3, 30) == fresh._nonzero_ops(3, 30)
+        # a smaller bound after a larger one is a prefix, not a new query
+        assert fresh._nonzero_ops(3, 5) == grown._nonzero_ops(3, 5) == s1_module()._nonzero_ops(3, 5)
+
+    def test_table_index_is_its_nonzero_cells(self):
+        entries = {(0, 0): [(1, 1)], (4, 0): [(1, 3)], (2, 1): [(1, 4), (1, 4)], (6, 2): [(1, 8)]}
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, S1_FAMILY), ActionTable(6, 2, entries))
+        # (2, 1) repeats its target, so it cancels mod 2 and is not indexed
+        assert m._nonzero_ops(0, 6) == [(0, ((1, 1),)), (4, ((3, 1),))]
+        assert m._nonzero_ops(1, 6) == []
+        assert m._nonzero_ops(2, 6) == [(6, ((8, 1),))]
+
+    def test_query_beyond_max_op_is_not_cached(self):
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, S1_FAMILY), ActionTable(4, 2, {(4, 0): [(1, 3)]}))
+        for _ in range(2):
+            with pytest.raises(ActionRangeError):
+                m._nonzero_ops(0, 6)
+        assert m._nonzero_ops(0, 4) == [(4, ((3, 1),))]

@@ -41,6 +41,7 @@ def dense_rref_mod_p(rows, ncols, p):
 
 
 def recomputed_cartan_rectangle(m, cols, targets, max_degree):
+    pairs = {}
     best = None
     best_score = -1
     g = 0
@@ -48,7 +49,7 @@ def recomputed_cartan_rectangle(m, cols, targets, max_degree):
         n = 0
         while n <= max_degree:
             if any(
-                _instance_rows(m, cols, targets, n, a, b)[1]
+                _instance_rows(m, cols, targets, pairs, n, a, b)[1]
                 for a in range(g + 1)
                 for b in range(g + 1)
             ):
@@ -62,6 +63,61 @@ def recomputed_cartan_rectangle(m, cols, targets, max_degree):
                 best_score = score
         g += 1
     return best
+
+
+def reference_instance_rows(m, cols, targets, n, a, b):
+    """The row assembly that ran over every i in 0..n, before the solver read
+    the index of nonzero operations and cached slots and signs per solve."""
+    spec = m.algebra
+    p = spec.p
+    fam = spec.family
+    acc = {}
+    deferred = False
+
+    def add(target_gen, slot, coeff):
+        nonlocal deferred
+        coeff %= p
+        if not coeff:
+            return
+        col = cols.get(slot)
+        if col is None:
+            deferred = True
+            return
+        row = acc.setdefault(target_gen, {})
+        row[col] = (row.get(col, 0) + coeff) % p
+
+    lhs_slot = (a, b) if a <= b else (b, a)
+    lhs_sign = 1 if a <= b else spec.sign(fam.degree(a), fam.degree(b))
+    lhs_target = targets[lhs_slot]
+    if lhs_target is not None:
+        for mgen, alpha in m._act_terms(n, lhs_target):
+            add(mgen, lhs_slot, alpha * lhs_sign)
+    for i in range(n + 1):
+        qa = m._act_terms(i, a)
+        if not qa:
+            continue
+        qb = m._act_terms(n - i, b)
+        for u, beta in qa:
+            for v, gamma in qb:
+                slot = (u, v) if u <= v else (v, u)
+                target = targets[slot] if slot in targets else spec.slot_target(*slot)
+                if target is None:
+                    continue
+                sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
+                add(target, slot, -beta * gamma * sgn)
+    rows = [row for _, row in sorted(acc.items()) if any(row.values())]
+    return rows, deferred
+
+
+def assert_rows_match_reference(module, result):
+    """Every instance (n, a, b) and (n, b, a) of the solve, row for row."""
+    cols = {slot: i for i, slot in enumerate(result.slots)}
+    pairs = {}
+    for a, b in result.targets:
+        for n in range(result.max_degree + 1):
+            for u, v in ((a, b), (b, a)):
+                got = _instance_rows(module, cols, result.targets, pairs, n, u, v)
+                assert got == reference_instance_rows(module, cols, result.targets, n, u, v)
 
 
 def reference_rectangle(module, result):
@@ -116,12 +172,17 @@ def result():
     return solve_product_table(s1_module(), 24)
 
 
+@pytest.fixture(scope="module")
+def result72():
+    return solve_product_table(s1_module(), 72)
+
+
 class TestSolveS1:
 
     def test_first_equation_links_strata(self, result):
         # Q_0(x_0 * x_0) = c_{0,0} x_3 and Q_0(x_0) * Q_0(x_0) = c_{1,1} x_3
         cols = {slot: i for i, slot in enumerate(result.slots)}
-        rows, deferred = _instance_rows(s1_module(), cols, result.targets, 0, 0, 0)
+        rows, deferred = _instance_rows(s1_module(), cols, result.targets, {}, 0, 0, 0)
         assert not deferred
         assert rows == [{cols[(0, 0)]: 1, cols[(1, 1)]: 1}]
         for vec in result.basis:
@@ -137,10 +198,11 @@ class TestSolveS1:
         assert verify_cartan(zero_mod, max_n, max_gen).passed
         assert verify_sign_laws(zero_mod.algebra).passed
 
-    def test_all_ones_is_a_solution(self, result):
+    def test_all_ones_is_a_solution(self, result, result72):
         # the constant-one table satisfies every generated equation exactly
-        vec = [1] * len(result.slots)
-        assert result.system.residual(vec) == [0] * result.equations
+        for r in (result, result72):
+            vec = [1] * len(r.slots)
+            assert r.system.residual(vec) == [0] * r.equations
 
     def test_binomial_candidate_is_not_a_solution(self, result):
         vec = [lucas_binom(a + b + 1, a, 2) for (a, b) in result.slots]
@@ -175,6 +237,10 @@ class TestSolveS1:
         for d in range(41):
             result = solve_product_table(m, d)
             assert result.cartan_rectangle == reference_rectangle(m, result), d
+
+    def test_rows_match_full_loop_reference(self):
+        m = s1_module()
+        assert_rows_match_reference(m, solve_product_table(m, 40))
 
     def test_slots_in_lexicographic_order(self, result):
         assert result.slots == sorted(result.slots)
@@ -214,6 +280,16 @@ class TestSolverEdges:
             for slot in forced:
                 assert vec.get(slot, 0) == 0
 
+    def test_odd_p_rows_match_reference(self):
+        # p = 3, dim_g = 0, degree rule i -> i: Q_op(e_g) = c e_{3g+2+4op}; the
+        # transposed product terms carry the sign (-1)^(deg u * deg v + 1)
+        fam = GeneratorFamily("e", 1, 0)
+        cells = {(op, g): [(1 + (op + g) % 2, 3 * g + 2 + 4 * op)] for op in range(3) for g in range(4)}
+        module = ModuleSpec(JoinAlgebraSpec(3, 0, fam), ActionTable(14, 14, cells))
+        result = solve_product_table(module, 14)
+        assert result.equations > 0
+        assert_rows_match_reference(module, result)
+
     @given(st.sets(st.tuples(st.integers(0, 10), st.integers(0, 20)), max_size=40))
     @settings(max_examples=30, deadline=None)
     def test_rectangle_matches_reference_on_random_tables(self, cells):
@@ -223,6 +299,7 @@ class TestSolverEdges:
         module = ModuleSpec(s1_algebra(), ActionTable(20, 20, entries))
         result = solve_product_table(module, 20)
         assert result.cartan_rectangle == reference_rectangle(module, result)
+        assert_rows_match_reference(module, result)
 
     def test_non_injective_family_rejected(self):
         fam = GeneratorFamily("pt", 0, 0)
