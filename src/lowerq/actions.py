@@ -191,6 +191,8 @@ class ModuleSpec:
             raise FamilyMismatchError("element does not live over this module")
         terms = x.terms
         for i in reversed(indices):
+            if not terms:
+                break
             terms = self._apply_op_terms(i, terms)
         return terms
 

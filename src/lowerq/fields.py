@@ -128,5 +128,8 @@ def lucas_binom(n: int, k: int, p: int) -> int:
 
 def binom_mod_p(n: int, k: int, p: int) -> FpScalar:
     """C(n, k) as an element of F_p; zero when k > n."""
-    check_prime(p)
-    return FpScalar(lucas_binom(n, k, p), p)
+    check_prime(p)  # before lucas_binom, which would not stop at p = 1
+    out = object.__new__(FpScalar)
+    out.value = lucas_binom(n, k, p)
+    out.p = p
+    return out

@@ -34,6 +34,7 @@ rewriting at odd p requires override data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
 from .errors import RelationDataError, RewriteBudgetError
@@ -54,6 +55,15 @@ class OperationWord:
         check_prime(self.p)
         if any(i < 0 for i in self.indices):
             raise ValueError("operation indices must be nonnegative")
+
+    @classmethod
+    def _trusted(cls, indices: tuple[int, ...], p: int) -> "OperationWord":
+        # For words the rewriter built: a tuple of nonnegative ints over a
+        # checked prime, so __post_init__ would only repeat its checks.
+        w = object.__new__(cls)
+        object.__setattr__(w, "indices", indices)
+        object.__setattr__(w, "p", p)
+        return w
 
     def __len__(self):
         return len(self.indices)
@@ -128,6 +138,15 @@ class OperationSum:
                 canon.pop(word, None)
         self.p = p
         self.terms = canon  # treat as read-only
+
+    @classmethod
+    def _trusted(cls, p: int, terms: dict[OperationWord, int]) -> "OperationSum":
+        # For sums the rewriter built: distinct words over p with reduced
+        # nonzero coefficients, already in canonical form.
+        out = object.__new__(cls)
+        out.p = p
+        out.terms = terms
+        return out
 
     @classmethod
     def from_word(cls, word: OperationWord, coeff: int = 1) -> "OperationSum":
@@ -313,10 +332,11 @@ def adem_rewrite(
 ) -> OperationSum:
     """Rewrite a word into an equal sum of admissible words.
 
-    order selects which non-admissible adjacent pair is expanded first
-    ("leftmost" or "rightmost"); the normal form does not depend on it.
-    budget bounds the number of pair expansions and exists only as a guard
-    against malformed override tables.
+    order selects which non-admissible adjacent pair of a word is expanded
+    ("leftmost" or "rightmost"); it fixes each word's normal form, and the
+    shipped family gives the same normal form under either order. budget
+    bounds the number of pair expansions and exists only as a guard
+    against malformed override tables. See rewrite_sum.
     """
     return rewrite_sum(OperationSum.from_word(w), relations, order=order, budget=budget)
 
@@ -327,34 +347,68 @@ def rewrite_sum(
     order: str = "leftmost",
     budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> OperationSum:
-    """Linear extension of adem_rewrite to sums of words."""
+    """Linear extension of adem_rewrite to sums of words.
+
+    Pending words are expanded largest first in lexicographic order. Every
+    shipped expansion (r, s) -> (outer, inner) has outer <= s < r, so each
+    word it yields is smaller than the word it came from: a word is taken
+    up only after every word that can yield it, and is expanded once, with
+    its fully merged coefficient, or skipped when that coefficient is 0.
+    Which pair of a word is expanded depends on the word alone (order), so
+    on a table whose expansions terminate the order in which words are
+    taken up cannot change the result.
+
+    budget counts pair expansions; on shipped data there are never more of
+    them than a smallest-first loop would make. An override table whose
+    expansions can cycle is malformed. On one, a word whose merged
+    coefficient cancels is not expanded, so a cycle can end, or go on until
+    the budget runs out, where taking words up smallest first would not.
+    """
     if order not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown reduction order {order!r}")
     if relations is None:
         relations = RelationTable(s.p)
     p = s.p
-    done: dict[tuple[int, ...], int] = {}
+    leftmost = order == "leftmost"
+    # Words are kept negated, so the heap's smallest key is the largest word.
     pending: dict[tuple[int, ...], int] = {}
     for word, c in s.terms.items():
-        pending[word.indices] = (pending.get(word.indices, 0) + c) % p
+        key = tuple(-i for i in word.indices)
+        pending[key] = (pending.get(key, 0) + c) % p
+    heap = list(pending)
+    heapify(heap)
+    done: dict[tuple[int, ...], int] = {}
 
     steps = 0
-    while pending:
-        idx = min(pending)
-        c = pending.pop(idx)
+    while heap:
+        neg = heappop(heap)
+        c = pending.pop(neg)
         if c == 0:
             continue
-        spots = [t for t in range(len(idx) - 1) if idx[t] > idx[t + 1]]
-        if not spots:
-            done[idx] = (done.get(idx, 0) + c) % p
+        # A descent idx[t] > idx[t + 1] reads neg[t] < neg[t + 1].
+        for t in range(len(neg) - 1) if leftmost else range(len(neg) - 2, -1, -1):
+            if neg[t] < neg[t + 1]:
+                break
+        else:
+            # An override table need not shrink words, so an admissible
+            # word can be reached again after it was taken up.
+            done[neg] = done.get(neg, 0) + c
             continue
-        t = spots[0] if order == "leftmost" else spots[-1]
         steps += 1
         if steps > budget:
             raise RewriteBudgetError(
                 f"rewrite budget of {budget} pair expansions exceeded"
             )
-        for coeff, (outer, inner) in relations.terms_for(idx[t], idx[t + 1]):
-            new = idx[:t] + (outer, inner) + idx[t + 2 :]
-            pending[new] = (pending.get(new, 0) + c * coeff) % p
-    return OperationSum(p, {OperationWord(idx, p): c for idx, c in done.items() if c})
+        head, tail = neg[:t], neg[t + 2 :]
+        for coeff, (outer, inner) in relations.terms_for(-neg[t], -neg[t + 1]):
+            new = head + (-outer, -inner) + tail
+            old = pending.get(new)
+            if old is None:
+                heappush(heap, new)
+                old = 0
+            pending[new] = (old + c * coeff) % p
+    word = OperationWord._trusted
+    return OperationSum._trusted(
+        p,
+        {word(tuple(-i for i in neg), p): c % p for neg, c in done.items() if c % p},
+    )

@@ -121,12 +121,18 @@ def verify_cartan(m: ModuleSpec, max_n: int, max_gen: int) -> VerificationReport
     t0 = time.perf_counter()
     checked = 0
     failures: list[Failure] = []
+    # x_0 .. x_max_gen, built once, each where the first row (n = 0, a = 0)
+    # first needs it: an index past the family's bound raises only after
+    # the products that precede it in the sweep.
+    gens: list[GradedElement] = []
     for n in range(max_n + 1):
         for a in range(max_gen + 1):
             for b in range(max_gen + 1):
                 checked += 1
-                xa = m.basis_element(a)
-                xb = m.basis_element(b)
+                if b == len(gens):
+                    gens.append(m.basis_element(b))
+                xa = gens[a]
+                xb = gens[b]
                 lhs = m.apply_op(n, m.algebra.join_product(xa, xb))
                 rhs = m.cartan_expand(n, xa, xb)
                 if lhs != rhs:

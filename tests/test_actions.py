@@ -249,6 +249,12 @@ class TestActionTable:
         with pytest.raises(ActionRangeError):
             m.apply_word(w2(4), x(0))
 
+    def test_word_killed_inside_rectangle_never_queries_outside(self):
+        # Q_1(x_0) = 0 inside the rectangle, so Q_4, outside it, acts on zero
+        m = ModuleSpec(self.algebra(), ActionTable(2, 2, {(0, 0): [(1, 1)]}))
+        assert m.apply_word(w2(4, 1), x(0)).terms == {}
+        assert m.apply_sum(OperationSum.from_word(w2(4, 1)), x(0)).terms == {}
+
     def test_entry_outside_rectangle_rejected(self):
         with pytest.raises(ValueError):
             ActionTable(2, 2, {(3, 0): [(1, 1)]})

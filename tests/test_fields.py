@@ -75,6 +75,12 @@ class TestBinom:
         assert binom_mod_p(3, 4, 2).value == 0
         assert lucas_binom(0, 1, 7) == 0
 
+    def test_nonprime_modulus_rejected(self):
+        # checked before the digit loop, which would not stop at p = 1
+        for bad in (0, 1, 4, 6, 9, True):
+            with pytest.raises(ValueError):
+                binom_mod_p(3, 1, bad)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_matches_pascal_oracle(self, p):
         rows = pascal_rows(p, 200)

@@ -20,6 +20,90 @@ def w2(*indices):
     return OperationWord(tuple(indices), 2)
 
 
+# --- reference: the smallest-first loop rewrite_sum ran before it expanded
+# words largest first ---
+
+
+def reference_rewrite_sum(
+    s, relations=None, order="leftmost", budget=10_000, pick=min, cancelled=None
+):
+    """Take up min(pending), or pick(pending), until nothing is pending.
+
+    Words taken up with a coefficient that cancelled to 0 are appended to
+    cancelled when a list is given."""
+    if relations is None:
+        relations = RelationTable(s.p)
+    p = s.p
+    done = {}
+    pending = {}
+    for word, c in s.terms.items():
+        pending[word.indices] = (pending.get(word.indices, 0) + c) % p
+    steps = 0
+    while pending:
+        idx = pick(pending)
+        c = pending.pop(idx)
+        if c == 0:
+            if cancelled is not None:
+                cancelled.append(idx)
+            continue
+        spots = [t for t in range(len(idx) - 1) if idx[t] > idx[t + 1]]
+        if not spots:
+            done[idx] = (done.get(idx, 0) + c) % p
+            continue
+        t = spots[0] if order == "leftmost" else spots[-1]
+        steps += 1
+        if steps > budget:
+            raise RewriteBudgetError(f"rewrite budget of {budget} pair expansions exceeded")
+        for coeff, (outer, inner) in relations.terms_for(idx[t], idx[t + 1]):
+            new = idx[:t] + (outer, inner) + idx[t + 2 :]
+            pending[new] = (pending.get(new, 0) + c * coeff) % p
+    return OperationSum(p, {OperationWord(idx, p): c for idx, c in done.items() if c})
+
+
+class CountingTable(RelationTable):
+    """A RelationTable that counts terms_for calls, one per pair expansion."""
+
+    calls = 0
+
+    def terms_for(self, r, s):
+        self.calls += 1
+        return super().terms_for(r, s)
+
+
+def outcome(rewrite, *args, **kwargs):
+    """The rewritten sum, or the string "budget" when the budget ran out."""
+    try:
+        return rewrite(*args, **kwargs)
+    except RewriteBudgetError:
+        return "budget"
+
+
+long_words = st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_size=5).map(
+    lambda ix: OperationWord(tuple(ix), 2)
+)
+
+
+@st.composite
+def override_cases(draw):
+    """A prime, an override table for every pair r > s over indices < 6,
+    each expansion a few constant terms, and a word over indices < 6."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    index = st.integers(min_value=0, max_value=5)
+    term = st.builds(
+        lambda c, o, i: RelationTerm(c, AffineExpr(o), AffineExpr(i)),
+        st.integers(min_value=1, max_value=p - 1) if p > 2 else st.just(1),
+        index,
+        index,
+    )
+    table = {
+        (r, s): tuple(draw(st.lists(term, max_size=2)))
+        for r in range(6)
+        for s in range(r)
+    }
+    word = OperationWord(tuple(draw(st.lists(index, min_size=2, max_size=4))), p)
+    return p, table, word
+
+
 words_strategy = st.lists(
     st.integers(min_value=0, max_value=20), min_size=0, max_size=4
 ).map(lambda ix: OperationWord(tuple(ix), 2))
@@ -161,6 +245,32 @@ class TestAdemRewrite:
         with pytest.raises(RewriteBudgetError):
             adem_rewrite(w2(24, 12, 6, 3), budget=1)
 
+    def test_cyclic_override_exhausts_budget(self):
+        # Q_3 Q_1 -> Q_3 Q_1 never reaches an admissible word
+        table = RelationTable(2, {(3, 1): (RelationTerm(1, AffineExpr(3), AffineExpr(1)),)})
+        with pytest.raises(RewriteBudgetError):
+            adem_rewrite(w2(3, 1), table, budget=100)
+        with pytest.raises(RewriteBudgetError):
+            adem_rewrite(w2(0, 3, 1), table, order="rightmost", budget=100)
+
+    def test_override_reaching_a_taken_up_admissible_word_again(self):
+        # Q_5 Q_0 -> Q_4 Q_5 + Q_2 Q_1 and Q_2 Q_1 -> Q_4 Q_5 at p = 3: the
+        # admissible Q_4 Q_5 is taken up before Q_2 Q_1 yields it again
+        table = RelationTable(
+            3,
+            {
+                (5, 0): (
+                    RelationTerm(1, AffineExpr(4), AffineExpr(5)),
+                    RelationTerm(1, AffineExpr(2), AffineExpr(1)),
+                ),
+                (2, 1): (RelationTerm(1, AffineExpr(4), AffineExpr(5)),),
+            },
+        )
+        word = OperationWord((5, 0), 3)
+        want = OperationSum(3, {OperationWord((4, 5), 3): 2})
+        assert adem_rewrite(word, table) == want
+        assert reference_rewrite_sum(OperationSum.from_word(word), table) == want
+
     def test_budget_never_fires_for_small_indices(self):
         for r in range(65):
             for s in range(65):
@@ -205,3 +315,56 @@ class TestRelationOverrides:
     def test_negative_indices_dropped(self):
         term = RelationTerm(1, AffineExpr(-2), AffineExpr(3))
         assert term.expand(2) == []
+
+
+class TestAgainstReference:
+    @given(word=long_words)
+    @settings(max_examples=150, deadline=None)
+    def test_shipped_family_matches_reference(self, word):
+        s = OperationSum.from_word(word)
+        for order in ("leftmost", "rightmost"):
+            want = reference_rewrite_sum(s, order=order, budget=10**6)
+            assert rewrite_sum(s, order=order) == want
+
+    @given(word=long_words)
+    @settings(max_examples=150, deadline=None)
+    def test_shipped_family_expands_no_more_than_reference(self, word):
+        s = OperationSum.from_word(word)
+        for order in ("leftmost", "rightmost"):
+            new, largest, ref = CountingTable(2), CountingTable(2), CountingTable(2)
+            rewrite_sum(s, new, order=order)
+            reference_rewrite_sum(s, largest, order, 10**6, max)
+            reference_rewrite_sum(s, ref, order=order, budget=10**6)
+            assert new.calls == largest.calls <= ref.calls
+
+    def test_each_word_expanded_once_on_a_stream_sized_word(self):
+        # (62, 40, 20, 2): the smallest-first loop takes up some words
+        # more than once; largest first takes each up once
+        new, ref = CountingTable(2), CountingTable(2)
+        s = OperationSum.from_word(w2(62, 40, 20, 2))
+        assert rewrite_sum(s, new) == reference_rewrite_sum(s, ref, budget=10**6)
+        assert new.calls < ref.calls
+
+    @given(case=override_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_override_tables_match_reference(self, case):
+        p, overrides, word = case
+        s = OperationSum.from_word(word)
+        for order in ("leftmost", "rightmost"):
+            budget = 200
+            new, mirror = CountingTable(p, overrides), CountingTable(p, overrides)
+            got = outcome(rewrite_sum, s, new, order=order, budget=budget)
+            # the heap takes up words in the order of max(pending): equal in
+            # every case, budget errors and expansion counts included
+            cancelled = []
+            largest = outcome(reference_rewrite_sum, s, mirror, order, budget, max, cancelled)
+            assert got == largest
+            assert new.calls == mirror.calls
+            # smallest first differs only where, in either order, a word's
+            # coefficient cancels before it is taken up (on a cyclic table
+            # that can end or prolong a cycle)
+            want = outcome(
+                reference_rewrite_sum, s, RelationTable(p, overrides), order, budget, min, cancelled
+            )
+            if not cancelled:
+                assert got == want

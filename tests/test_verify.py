@@ -5,6 +5,7 @@ import pytest
 from lowerq import (
     GeneratorFamily,
     JoinAlgebraSpec,
+    ModuleSpec,
     flip_coefficient,
     s1_candidate_table,
     s1_module,
@@ -67,6 +68,30 @@ class TestVerifyCartan:
     def test_zero_table_passes(self):
         m = s1_module(s1_candidate_table("zero", 60))
         assert verify_cartan(m, 16, 8).passed
+
+    def test_failures_are_exactly_the_differing_instances(self):
+        # every instance recomputed from freshly built generators
+        m = s1_module(s1_candidate_table("binomial", 60))
+        want = []
+        for n in range(11):
+            for a in range(6):
+                for b in range(6):
+                    xa, xb = m.basis_element(a), m.basis_element(b)
+                    lhs = m.apply_op(n, m.algebra.join_product(xa, xb))
+                    rhs = m.cartan_expand(n, xa, xb)
+                    if lhs != rhs:
+                        want.append(({"n": n, "a": a, "b": b}, lhs.render(), rhs.render()))
+        report = verify_cartan(m, 10, 5)
+        assert want
+        assert [(f.inputs, f.lhs, f.rhs) for f in report.failures] == want
+
+    def test_generator_past_family_bound_raises_where_the_row_reaches_it(self):
+        # the (0, 0) product is missing, and x_4 lies past max_index = 3:
+        # the sweep reaches the missing product first
+        fam = GeneratorFamily("x", 2, 0, max_index=3)
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, fam, {}), "s1_p2")
+        with pytest.raises(UndefinedProductError):
+            verify_cartan(m, 0, 5)
 
     def test_missing_table_is_an_error(self):
         with pytest.raises(UndefinedProductError):
