@@ -106,6 +106,14 @@ class ModuleSpec:
     raised. The Cartan loops of cartan_expand and of the solver run over
     it instead of over every i in 0..n; for the circle module only the
     i = 2j with j & g == 0 are nonzero (Lucas).
+
+    The arithmetic runs on plain {index: coeff} dicts in private helpers:
+    _apply_op_terms, _apply_word_terms, _apply_sum_terms and _cartan_terms.
+    act, apply_op, apply_word, apply_sum and cartan_expand are thin
+    wrappers over them that check that their elements live over this
+    module and build a GradedElement for their result. The
+    verification sweeps call the helpers directly, so a sweep builds
+    GradedElements only inside the memo and to render a failure.
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
@@ -178,60 +186,91 @@ class ModuleSpec:
             return ops[: bisect_right(ops, n, key=itemgetter(0))]
         return ops
 
-    def _apply_op_terms(self, op_index: int, terms: dict[int, int]) -> dict[int, int]:
+    def _apply_op_terms(self, op_index: int, terms: Mapping[int, int]) -> dict[int, int]:
+        memo = self._memo
         acc: dict[int, int] = {}
         for idx, c in terms.items():
-            for idx2, c2 in self._act_terms(op_index, idx):
+            # the memo is read inline: this is the innermost loop of every sweep
+            action = memo.get((op_index, idx))
+            if action is None:
+                action = self._act_terms(op_index, idx)
+            for idx2, c2 in action:
                 acc[idx2] = acc.get(idx2, 0) + c * c2
-        p = self.p
+        if not acc:
+            return acc
+        p = self.algebra.p
         return {idx: c % p for idx, c in acc.items() if c % p}
 
-    def _apply_word_terms(self, indices: Sequence[int], x: GradedElement) -> dict[int, int]:
-        if x.family != self.family or x.p != self.p:
-            raise FamilyMismatchError("element does not live over this module")
-        terms = x.terms
+    def _apply_word_terms(
+        self, indices: Sequence[int], terms: Mapping[int, int]
+    ) -> Mapping[int, int]:
+        """Apply a word right to left, stopping once the result is zero."""
         for i in reversed(indices):
             if not terms:
                 break
             terms = self._apply_op_terms(i, terms)
         return terms
 
+    def _apply_sum_terms(
+        self, words: Iterable[tuple[Sequence[int], int]], terms: Mapping[int, int]
+    ) -> dict[int, int]:
+        """sum c * w(terms) over the (indices, c) pairs, reduced mod p."""
+        acc: dict[int, int] = {}
+        for indices, c in words:
+            for idx, v in self._apply_word_terms(indices, terms).items():
+                acc[idx] = acc.get(idx, 0) + c * v
+        p = self.p
+        return {idx: v % p for idx, v in acc.items() if v % p}
+
+    def _cartan_terms(
+        self, n: int, a_terms: Mapping[int, int], b_terms: Mapping[int, int]
+    ) -> dict[int, int]:
+        """sum_{i+j=n} Q_i(a) * Q_j(b) on {index: coeff} dicts, reduced mod p."""
+        # Q_i(a) * Q_{n-i}(b) vanishes unless some generator of a has a
+        # nonzero Q_i and some generator of b a nonzero Q_{n-i}.
+        ops_a = {i for g in a_terms for i, _ in self._nonzero_ops(g, n)}
+        ops_b = {n - j for g in b_terms for j, _ in self._nonzero_ops(g, n)}
+        acc: dict[int, int] = {}
+        for i in sorted(ops_a & ops_b):
+            qa = self._apply_op_terms(i, a_terms)
+            qb = self._apply_op_terms(n - i, b_terms)
+            if qa and qb:
+                for idx, c in self.algebra._product_terms(qa, qb).items():
+                    acc[idx] = acc.get(idx, 0) + c
+        p = self.p
+        return {idx: c % p for idx, c in acc.items() if c % p}
+
+    def _check_element(self, x: GradedElement) -> None:
+        if x.family != self.family or x.p != self.p:
+            raise FamilyMismatchError("element does not live over this module")
+
     def act(self, op_index: int, gen_index: int) -> GradedElement:
         """Apply a single operation to a single generator."""
         return GradedElement(self.family, self.p, self._act_terms(op_index, gen_index))
 
     def apply_op(self, op_index: int, x: GradedElement) -> GradedElement:
+        self._check_element(x)
         return GradedElement(self.family, self.p, self._apply_op_terms(op_index, x.terms))
 
     def apply_word(self, w: OperationWord | Sequence[int], x: GradedElement) -> GradedElement:
         """Apply a word right to left, extended linearly."""
         indices = w.indices if isinstance(w, OperationWord) else tuple(w)
-        return GradedElement(self.family, self.p, self._apply_word_terms(indices, x))
+        self._check_element(x)
+        return GradedElement(self.family, self.p, self._apply_word_terms(indices, x.terms))
 
     def apply_sum(self, s: OperationSum, x: GradedElement) -> GradedElement:
         """Coefficient-weighted sum of apply_word over the terms of s."""
-        acc: dict[int, int] = {}
-        for word, c in s.sorted_terms():
-            for idx, v in self._apply_word_terms(word.indices, x).items():
-                acc[idx] = acc.get(idx, 0) + c * v
-        return GradedElement(self.family, self.p, acc)
+        self._check_element(x)
+        words = [(word.indices, c) for word, c in s.sorted_terms()]
+        return GradedElement(self.family, self.p, self._apply_sum_terms(words, x.terms))
 
     def cartan_expand(self, n: int, a: GradedElement, b: GradedElement) -> GradedElement:
         """sum_{i+j=n} Q_i(a) * Q_j(b), the product-side of the Cartan formula."""
         if n < 0:
             raise ValueError("operation index must be nonnegative")
-        # Q_i(a) * Q_{n-i}(b) vanishes unless some generator of a has a
-        # nonzero Q_i and some generator of b a nonzero Q_{n-i}.
-        ops_a = {i for g in a.terms for i, _ in self._nonzero_ops(g, n)}
-        ops_b = {n - j for g in b.terms for j, _ in self._nonzero_ops(g, n)}
-        acc: dict[int, int] = {}
-        for i in sorted(ops_a & ops_b):
-            qa = self._apply_op_terms(i, a.terms)
-            qb = self._apply_op_terms(n - i, b.terms)
-            if qa and qb:
-                for idx, c in self.algebra._product_terms(qa, qb).items():
-                    acc[idx] = acc.get(idx, 0) + c
-        return GradedElement(self.family, self.p, acc)
+        self._check_element(a)
+        self._check_element(b)
+        return GradedElement(self.family, self.p, self._cartan_terms(n, a.terms, b.terms))
 
 
 # --- candidate product tables for the circle module -------------------

@@ -3,7 +3,8 @@
 Exit codes: 0 success (verifications clean), 1 verification failures
 found, 2 usage error, 3 data error (any ValueError the data raises:
 bad files, undefined products, out-of-range action queries or generator
-indices, a degree rule the solver cannot use).
+indices, a degree rule the solver cannot use; and a rewrite that runs
+out of its step budget, which only a cyclic relation override causes).
 
 Words are comma-separated unsigned decimals; the leftmost index is
 applied last, so --word 2,0 means apply Q_0 first and Q_2 to the result.
@@ -26,6 +27,7 @@ from .actions import (
     s1_candidate_table,
 )
 from .algebra import JoinAlgebraSpec
+from .errors import RewriteBudgetError
 from .operations import OperationWord, RelationTable
 from .serialize import (
     algebra_from_obj,
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, RewriteBudgetError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

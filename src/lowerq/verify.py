@@ -7,6 +7,13 @@ enough to sweep completely, and exhaustiveness is the point: a report
 with an empty failure list certifies the identity on every instance.
 Reports are deterministic for fixed inputs (fixed iteration order, no
 sampling); only the elapsed-time field varies between runs.
+
+The Adem and Cartan sweeps run on the module's integer kernel: each side
+of a check is a reduced {index: coeff} dict from the private helpers
+that apply_word, apply_sum, apply_op, cartan_expand and join_product
+wrap, so both paths compute the same thing. A GradedElement is built only to
+render a failure. The sweeps query the same action cells, in the same
+order, as the wrapper calls would, so the first error raised is the same.
 """
 
 from __future__ import annotations
@@ -71,6 +78,16 @@ def _report(checked: int, failures: list[Failure], t0: float) -> VerificationRep
     )
 
 
+def _mismatch(m: ModuleSpec, description: str, inputs: dict, lhs: dict, rhs: dict) -> Failure:
+    """A failure record, rendering both sides through GradedElement."""
+    return Failure(
+        description=description,
+        inputs=inputs,
+        lhs=GradedElement(m.family, m.p, lhs).render(),
+        rhs=GradedElement(m.family, m.p, rhs).render(),
+    )
+
+
 def verify_adem(
     m: ModuleSpec,
     max_index: int,
@@ -86,25 +103,25 @@ def verify_adem(
         relations = RelationTable(m.p)
     checked = 0
     failures: list[Failure] = []
+    # {g: 1} for x_0 .. x_max_gen, each checked where the first
+    # non-admissible pair first needs it, as in verify_cartan.
+    gens: list[dict[int, int]] = []
     for r in range(max_index + 1):
         for s in range(max_index + 1):
             word = OperationWord((r, s), m.p)
             if is_admissible(word):
                 continue
-            rewritten = adem_rewrite(word, relations)
+            rewritten = [(w.indices, c) for w, c in adem_rewrite(word, relations).sorted_terms()]
             for g in range(max_gen + 1):
                 checked += 1
-                x = m.basis_element(g)
-                lhs = m.apply_word(word, x)
-                rhs = m.apply_sum(rewritten, x)
+                if g == len(gens):
+                    gens.append({m.family.check_index(g): 1})
+                x = gens[g]
+                lhs = m._apply_word_terms(word.indices, x)
+                rhs = m._apply_sum_terms(rewritten, x)
                 if lhs != rhs:
                     failures.append(
-                        Failure(
-                            description="adem relation mismatch",
-                            inputs={"r": r, "s": s, "gen": g},
-                            lhs=lhs.render(),
-                            rhs=rhs.render(),
-                        )
+                        _mismatch(m, "adem relation mismatch", {"r": r, "s": s, "gen": g}, lhs, rhs)
                     )
                     if fail_fast:
                         return _report(checked, failures, t0)
@@ -121,28 +138,28 @@ def verify_cartan(m: ModuleSpec, max_n: int, max_gen: int) -> VerificationReport
     t0 = time.perf_counter()
     checked = 0
     failures: list[Failure] = []
-    # x_0 .. x_max_gen, built once, each where the first row (n = 0, a = 0)
-    # first needs it: an index past the family's bound raises only after
-    # the products that precede it in the sweep.
-    gens: list[GradedElement] = []
+    p = m.p
+    product = m.algebra._product_terms
+    # {g: 1} for x_0 .. x_max_gen, each checked where the first row
+    # (n = 0, a = 0) first needs it: an index past the family's bound
+    # raises only after the products that precede it in the sweep.
+    gens: list[dict[int, int]] = []
     for n in range(max_n + 1):
         for a in range(max_gen + 1):
             for b in range(max_gen + 1):
                 checked += 1
                 if b == len(gens):
-                    gens.append(m.basis_element(b))
+                    gens.append({m.family.check_index(b): 1})
                 xa = gens[a]
                 xb = gens[b]
-                lhs = m.apply_op(n, m.algebra.join_product(xa, xb))
-                rhs = m.cartan_expand(n, xa, xb)
+                # reduced first, as join_product's element was: a product
+                # term that cancels mod p queries no action cell
+                ab = {idx: c % p for idx, c in product(xa, xb).items() if c % p}
+                lhs = m._apply_op_terms(n, ab)
+                rhs = m._cartan_terms(n, xa, xb)
                 if lhs != rhs:
                     failures.append(
-                        Failure(
-                            description="cartan formula mismatch",
-                            inputs={"n": n, "a": a, "b": b},
-                            lhs=lhs.render(),
-                            rhs=rhs.render(),
-                        )
+                        _mismatch(m, "cartan formula mismatch", {"n": n, "a": a, "b": b}, lhs, rhs)
                     )
     return _report(checked, failures, t0)
 

@@ -20,7 +20,7 @@ from lowerq import (
     s1_module,
 )
 from lowerq.actions import S1_FAMILY
-from lowerq.errors import ActionRangeError
+from lowerq.errors import ActionRangeError, FamilyMismatchError
 
 M = s1_module()
 ONES_70 = s1_candidate_table("ones", 70)  # covers every product of Q_i(x_a), a <= 10, i <= 24
@@ -282,6 +282,21 @@ class TestModulePlumbing:
         wrong = JoinAlgebraSpec(2, 0, S1_FAMILY)
         with pytest.raises(ValueError):
             ModuleSpec(wrong, "s1_p2")
+
+    def test_elements_from_another_family_rejected(self):
+        m = s1_module(ONES_70)
+        y = GradedElement.generator(GeneratorFamily("y", 2, 0), 2, 1)
+        calls = [
+            lambda: m.apply_op(0, y),
+            lambda: m.apply_word(w2(0), y),
+            lambda: m.apply_sum(OperationSum.from_word(w2(0)), y),
+            lambda: m.apply_sum(OperationSum(2, {}), y),
+            lambda: m.cartan_expand(0, y, x(1)),
+            lambda: m.cartan_expand(0, x(1), y),
+        ]
+        for call in calls:
+            with pytest.raises(FamilyMismatchError):
+                call()
 
     def test_flip_coefficient(self):
         flipped = flip_coefficient(M, 4, 1)

@@ -150,6 +150,18 @@ class TestVerifyCommands:
         assert code == 1
         assert "FAIL" in out
 
+    def test_cyclic_override_is_data_error(self, capsys, tmp_path):
+        # Q_2 Q_0 -> Q_2 Q_0 never reaches an admissible word
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps([{"r": 2, "s": 0, "terms": [[1, 2, 0]]}]))
+        code, out, err = run(
+            capsys, "verify", "adem", "--module", "s1_p2", "--max-index", "6",
+            "--max-gen", "3", "--relations", str(path),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "data error: rewrite budget of 1000000 pair expansions exceeded\n"
+
     def test_cartan_with_candidate_table(self, capsys):
         code, out, _ = run(
             capsys, "verify", "cartan", "--module", "s1_p2", "--max-n", "6",
@@ -293,6 +305,33 @@ class TestFileModules:
         assert code == 3
         assert out == ""
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "action, argv, index",
+        [
+            # Q_0(x_2) = x_5 is reached before x_4 is needed
+            ("s1_p2", ("verify", "adem", "--max-index", "4"), 5),
+            ("s1_p2", ("verify", "cartan", "--max-n", "4"), 5),
+            # a zero action: the sweep itself reaches x_4 first
+            (None, ("verify", "adem", "--max-index", "4"), 4),
+            (None, ("verify", "cartan", "--max-n", "4"), 4),
+        ],
+    )
+    def test_verify_past_family_bound_is_data_error(self, capsys, tmp_path, action, argv, index):
+        generator = dict(S1_SPEC_NO_TABLE["generator"], max_index=3)
+        table = [{"a": a, "b": b, "terms": [[1, a + b + 1]] if a + b < 3 else []}
+                 for a in range(4) for b in range(a, 4)]
+        module_obj = {"algebra": dict(S1_SPEC_NO_TABLE, generator=generator, product_table=table)}
+        if action is None:
+            module_obj["action_table"] = {"max_op": 10, "max_gen": 10, "entries": []}
+        else:
+            module_obj["action"] = action
+        path = tmp_path / "mod.json"
+        path.write_text(json.dumps(module_obj))
+        code, out, err = run(capsys, *argv[:2], "--module", str(path), *argv[2:], "--max-gen", "6")
+        assert code == 3
+        assert out == ""
+        assert err == f"data error: generator index {index} out of range for family x\n"
 
     def test_builtin_action_under_renamed_family(self, capsys, tmp_path):
         algebra = dict(S1_SPEC_NO_TABLE, generator={"name": "y", "degree_a": 2, "degree_b": 0})

@@ -3,10 +3,15 @@ import json
 import pytest
 
 from lowerq import (
+    ActionTable,
     GeneratorFamily,
     JoinAlgebraSpec,
     ModuleSpec,
+    OperationWord,
+    RelationTable,
+    adem_rewrite,
     flip_coefficient,
+    is_admissible,
     s1_candidate_table,
     s1_module,
     verify_adem,
@@ -14,10 +19,121 @@ from lowerq import (
     verify_sign_laws,
 )
 from lowerq.errors import UndefinedProductError
+from lowerq.operations import AffineExpr, RelationTerm
 from lowerq.serialize import canonical_json
+from lowerq.verify import Failure, VerificationReport
 
 E = GeneratorFamily("e", 1, 0)
 PT = GeneratorFamily("pt", 0, 0)
+
+
+def reference_verify_adem(m, max_index, max_gen, relations=None, fail_fast=False):
+    """The sweep verify_adem ran before it compared int dicts: a
+    GradedElement for every generator and for each side of every check."""
+    if relations is None:
+        relations = RelationTable(m.p)
+    report = VerificationReport()
+    for r in range(max_index + 1):
+        for s in range(max_index + 1):
+            word = OperationWord((r, s), m.p)
+            if is_admissible(word):
+                continue
+            rewritten = adem_rewrite(word, relations)
+            for g in range(max_gen + 1):
+                report.checked += 1
+                x = m.basis_element(g)
+                lhs = m.apply_word(word, x)
+                rhs = m.apply_sum(rewritten, x)
+                if lhs != rhs:
+                    report.failures.append(
+                        Failure("adem relation mismatch", {"r": r, "s": s, "gen": g},
+                                lhs.render(), rhs.render())
+                    )
+                    if fail_fast:
+                        return report
+    return report
+
+
+def reference_verify_cartan(m, max_n, max_gen):
+    """The sweep verify_cartan ran before it compared int dicts, through
+    join_product, apply_op and cartan_expand."""
+    report = VerificationReport()
+    gens = []
+    for n in range(max_n + 1):
+        for a in range(max_gen + 1):
+            for b in range(max_gen + 1):
+                report.checked += 1
+                if b == len(gens):
+                    gens.append(m.basis_element(b))
+                lhs = m.apply_op(n, m.algebra.join_product(gens[a], gens[b]))
+                rhs = m.cartan_expand(n, gens[a], gens[b])
+                if lhs != rhs:
+                    report.failures.append(
+                        Failure("cartan formula mismatch", {"n": n, "a": a, "b": b},
+                                lhs.render(), rhs.render())
+                    )
+    return report
+
+
+def recording(module):
+    """A fresh copy of module whose action records every (op, gen) cell it
+    is asked for; the copy's memo asks once per cell unless the cell raised."""
+    cells = []
+
+    def action(op, gen):
+        cells.append((op, gen))
+        return module.act(op, gen)
+
+    return ModuleSpec(module.algebra, action), cells
+
+
+def outcome(sweep, module, *args, **kwargs):
+    """The report without elapsed_ms and the cells queried, or the error
+    the sweep raised and the cells queried before it."""
+    m, cells = recording(module)
+    try:
+        obj = sweep(m, *args, **kwargs).to_obj()
+    except ValueError as e:
+        return (type(e), str(e)), cells
+    del obj["elapsed_ms"]
+    return obj, cells
+
+
+def odd_module():
+    """p = 3, dim_g = 0, degree rule i -> i: Q_op(e_g) sits at index
+    3g + 2 + 4op and e_a * e_b at a + b + 1. The action is tabulated for
+    op <= 4, g <= 30, enough for words of two ops <= 4 on e_0 .. e_3.
+    Where a + b = 1 mod 4 the product entry is two terms that cancel."""
+    entries = {}
+    for op in range(5):
+        for g in range(31):
+            c = (op + 2 * g + op * g) % 3
+            if c:
+                entries[(op, g)] = [(c, 3 * g + 2 + 4 * op)]
+    products = {}
+    for a in range(28):
+        for b in range(a, 28):
+            c = (7 * a + 3 * b + 1) % 3
+            if (a + b) % 4 == 1:
+                products[(a, b)] = ((1, a + b + 1), (2, a + b + 1))
+            else:
+                products[(a, b)] = ((c, a + b + 1),) if c else ()
+    return ModuleSpec(JoinAlgebraSpec(3, 0, E, products), ActionTable(4, 30, entries))
+
+
+def odd_relations():
+    """An override for every r > s <= 4: Q_r Q_s -> Q_s Q_r, plus 2 Q_0 Q_r
+    when r + s is odd, plus Q_{r-1} Q_s (rewritten again) when r - 1 > s."""
+    overrides = {}
+    for r in range(5):
+        for s in range(r):
+            terms = [RelationTerm(1, AffineExpr(s), AffineExpr(r))]
+            if (r + s) % 2:
+                terms.append(RelationTerm(2, AffineExpr(0), AffineExpr(r)))
+            if r - 1 > s:
+                terms.append(RelationTerm(1, AffineExpr(r - 1), AffineExpr(s)))
+            overrides[(r, s)] = terms
+    return RelationTable(3, overrides)
 
 
 class TestVerifyAdem:
@@ -96,6 +212,62 @@ class TestVerifyCartan:
     def test_missing_table_is_an_error(self):
         with pytest.raises(UndefinedProductError):
             verify_cartan(s1_module(), 4, 2)
+
+
+class TestParityWithWrapperSweeps:
+    """The int-dict sweeps give the reports of the wrapper-based ones, query
+    the same action cells in the same order, and raise the same errors."""
+
+    def assert_same(self, sweep, reference, module, *args, **kwargs):
+        got = outcome(sweep, module, *args, **kwargs)
+        assert got == outcome(reference, module, *args, **kwargs)
+        return got[0]
+
+    def test_adem_clean_module(self):
+        report = self.assert_same(verify_adem, reference_verify_adem, s1_module(), 16, 8)
+        assert report == {"checked": 136 * 9, "failures": []}
+
+    @pytest.mark.parametrize("cell", [(0, 0), (4, 2), (2, 3), (6, 1), (8, 0)])
+    @pytest.mark.parametrize("fail_fast", [False, True])
+    def test_adem_corrupted_module(self, cell, fail_fast):
+        corrupted = flip_coefficient(s1_module(), *cell)
+        report = self.assert_same(
+            verify_adem, reference_verify_adem, corrupted, 12, 6, fail_fast=fail_fast
+        )
+        assert report["failures"]
+
+    def test_adem_odd_p_table_with_overrides(self):
+        for fail_fast in (False, True):
+            report = self.assert_same(
+                verify_adem, reference_verify_adem, odd_module(), 4, 3,
+                relations=odd_relations(), fail_fast=fail_fast,
+            )
+            assert report["failures"]
+        assert any("2*e_" in f["lhs"] + f["rhs"] for f in report["failures"])
+
+    @pytest.mark.parametrize("kind, failures", [("ones", 0), ("binomial", 121)])
+    def test_cartan_candidate_tables(self, kind, failures):
+        m = s1_module(s1_candidate_table(kind, 4 * 12 + 32 // 2 + 2))
+        report = self.assert_same(verify_cartan, reference_verify_cartan, m, 32, 12)
+        assert report["checked"] == 33 * 13 * 13
+        assert len(report["failures"]) == failures
+
+    def test_cartan_odd_p_table(self):
+        report = self.assert_same(verify_cartan, reference_verify_cartan, odd_module(), 4, 3)
+        assert report["failures"]
+
+    @pytest.mark.parametrize("action", ["s1_p2", ActionTable(10, 10, {})])
+    def test_errors_past_the_family_bound(self, action):
+        fam = GeneratorFamily("x", 2, 0, max_index=3)
+        table = {(a, b): ((1, a + b + 1),) if a + b < 3 else ()
+                 for a in range(4) for b in range(a, 4)}
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, fam, table), action)
+        errors = [
+            self.assert_same(verify_adem, reference_verify_adem, m, 4, 6)[1],
+            self.assert_same(verify_cartan, reference_verify_cartan, m, 4, 6)[1],
+        ]
+        index = 5 if action == "s1_p2" else 4
+        assert errors == [f"generator index {index} out of range for family x"] * 2
 
 
 class TestVerifySignLaws:
