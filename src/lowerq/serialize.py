@@ -22,7 +22,9 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _require(obj: dict, key: str, kind, where: str):
+def _require(obj, key: str, kind, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object")
     if key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     val = obj[key]
@@ -58,8 +60,6 @@ def algebra_to_obj(spec: JoinAlgebraSpec) -> dict:
 
 
 def algebra_from_obj(obj) -> JoinAlgebraSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError("algebra spec: expected a JSON object")
     p = _require(obj, "p", int, "algebra spec")
     dim_g = _require(obj, "dim_g", int, "algebra spec")
     gen = _require(obj, "generator", dict, "algebra spec")
@@ -108,8 +108,6 @@ def module_to_obj(m: ModuleSpec) -> dict:
 
 
 def module_from_obj(obj) -> ModuleSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError("module spec: expected a JSON object")
     algebra = algebra_from_obj(_require(obj, "algebra", dict, "module spec"))
     if "action" in obj and "action_table" in obj:
         raise SchemaError("module spec: give either action or action_table, not both")
@@ -125,6 +123,8 @@ def module_from_obj(obj) -> ModuleSpec:
         for row in _require(tab, "entries", list, "action table"):
             op = _require(row, "op", int, "action table entry")
             gen = _require(row, "gen", int, "action table entry")
+            if (op, gen) in entries:
+                raise SchemaError(f"duplicate action table entry ({op}, {gen})")
             terms = _require(row, "terms", list, "action table entry")
             parsed = _terms_from_obj(terms, "action term")
             entries[(op, gen)] = [(c % algebra.p, i) for c, i in parsed if c % algebra.p]
@@ -164,8 +164,6 @@ def relation_overrides_from_obj(obj) -> dict[tuple[int, int], tuple[RelationTerm
         raise SchemaError("relation overrides: expected a JSON list")
     out: dict[tuple[int, int], tuple[RelationTerm, ...]] = {}
     for row in obj:
-        if not isinstance(row, dict):
-            raise SchemaError("relation override entry must be an object")
         r = _require(row, "r", int, "relation override")
         s = _require(row, "s", int, "relation override")
         if r <= s:

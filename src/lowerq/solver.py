@@ -11,7 +11,10 @@ nonzero coefficient, a slot beyond the degree bound are deferred
 (counted, never silently dropped). The system is reduced by exact
 Gaussian elimination over F_p to reduced row-echelon form with columns
 ordered lexicographically by (a, b), so ranks, free slots and nullspace
-bases are reproducible.
+bases are reproducible. The rows keep one sparse format (see LinearSystem)
+from assembly on: rref_mod_p eliminates on {col: coeff} dict copies of
+them and nullspace_basis emits {col: coeff} vectors, so no dense row or
+vector is ever built.
 
 An instance's right-hand side runs only over the i with Q_i(x_a) != 0,
 read from the module's index of nonzero operations, and looks up
@@ -39,16 +42,13 @@ from .actions import ModuleSpec
 from .algebra import sign_exponent
 
 Slot = tuple[int, int]
+Row = tuple[tuple[int, int], ...]
 
 
-def rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row-echelon form over F_p; returns (nonzero rows, pivot columns).
-
-    Rows come in and go out dense; the elimination itself runs on sparse
-    {col: value} rows holding only nonzero reduced entries, because the
-    Cartan systems are about 1% nonzero.
-    """
-    sparse = [{c: v % p for c, v in enumerate(row) if v % p} for row in rows]
+def rref_mod_p(rows: list[Row], ncols: int, p: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row-echelon form over F_p of (col, coeff) rows; returns the
+    nonzero reduced rows as {col: coeff} dicts and their pivot columns."""
+    sparse = [dict(row) for row in rows]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
@@ -70,41 +70,40 @@ def rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int
                     del row[c]
         pivots.append(col)
         r += 1
-    return [[row.get(c, 0) for c in range(ncols)] for row in sparse[:r]], pivots
+    return sparse[:r], pivots
 
 
 def nullspace_basis(
-    rref_rows: list[list[int]], pivots: list[int], ncols: int, p: int
-) -> list[list[int]]:
-    """One basis vector per free column of an RREF matrix."""
+    rref_rows: list[dict[int, int]], pivots: list[int], ncols: int, p: int
+) -> list[dict[int, int]]:
+    """One {col: coeff} basis vector per free column of an RREF matrix, in
+    column order. A reduced row's entries other than its pivot lie in free
+    columns, so each row is read once."""
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for row, c in zip(rref_rows, pivots):
-            vec[c] = (-row[f]) % p
-        basis.append(vec)
-    return basis
+    basis: dict[int, dict[int, int]] = {f: {} for f in range(ncols) if f not in pivot_set}
+    for row, c in zip(rref_rows, pivots):
+        for f, v in row.items():
+            if f != c:
+                basis[f][c] = -v % p
+    for f, vec in basis.items():
+        vec[f] = 1  # after the pivot columns, which all lie left of f
+    return list(basis.values())
 
 
 @dataclass
 class LinearSystem:
-    """Rows of F_p coefficients over an ordered list of structure-constant slots."""
+    """The homogeneous system A x = 0 over F_p, one unknown per slot. Each
+    row is a tuple of (col, coeff) pairs, sorted by col, holding only the
+    nonzero coefficients reduced mod p; the rows stay sparse because the
+    Cartan systems are about 1% nonzero."""
 
     slots: list[Slot]
-    rows: list[list[int]]
-    rhs: list[int]
+    rows: list[Row]
     p: int
 
     def residual(self, vec: list[int]) -> list[int]:
-        """A*x - b mod p, for a direct check of emitted solutions."""
-        return [
-            (sum(a * x for a, x in zip(row, vec)) - b) % self.p
-            for row, b in zip(self.rows, self.rhs)
-        ]
+        """A*x mod p for a dense vector x, for a direct check of emitted solutions."""
+        return [sum(a * vec[c] for c, a in row) % self.p for row in self.rows]
 
 
 @dataclass
@@ -194,7 +193,8 @@ def _instance_rows(
     a: int,
     b: int,
 ):
-    """Sparse rows (one per target generator) of one Cartan instance.
+    """The nonzero rows (one per target generator) of one Cartan instance,
+    as sorted (col, coeff) tuples.
 
     targets is the slot map of _enumerate_pairs and must hold the pair
     (a, b); the target of a product term outside it is worked out from the
@@ -229,6 +229,8 @@ def _instance_rows(
             return
         row = acc.setdefault(target_gen, {})
         row[col] = (row.get(col, 0) + coeff) % p
+        if not row[col]:
+            del row[col]
 
     lhs_slot, lhs_target, lhs_sign = pair(a, b)
     if lhs_target is not None:
@@ -242,7 +244,7 @@ def _instance_rows(
                 if target is None:
                     continue  # forced zero by the degree law
                 add(target, slot, -beta * gamma * sgn)
-    rows = [row for _, row in sorted(acc.items()) if any(row.values())]
+    rows = [tuple(sorted(row.items())) for _, row in sorted(acc.items()) if row]
     return rows, deferred
 
 
@@ -285,7 +287,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
     cols = {slot: i for i, slot in enumerate(slots)}
 
     pairs: dict[Slot, tuple[Slot, int | None, int]] = {}
-    sparse_rows: list[dict[int, int]] = []
+    rows: list[Row] = []
     instances = 0
     deferred = 0
     first_deferred: dict[Slot, int] = {}
@@ -293,21 +295,20 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         first_deferred[(a, b)] = max_degree + 1
         for n in range(max_degree + 1):
             instances += 1
-            rows, was_deferred = _instance_rows(m, cols, targets, pairs, n, a, b)
+            instance_rows, was_deferred = _instance_rows(m, cols, targets, pairs, n, a, b)
             if was_deferred:
                 deferred += 1
                 first_deferred[(a, b)] = min(first_deferred[(a, b)], n)
                 continue
-            sparse_rows.extend(rows)
+            rows.extend(instance_rows)
     # An odd sign exponent forces diagonal entries to vanish outright.
     if p != 2:
         for (a, b) in slots:
             if a == b and sign_exponent(spec.family.degree(a), spec.family.degree(b), spec.dim_g) % 2:
-                sparse_rows.append({cols[(a, b)]: 1})
+                rows.append(((cols[(a, b)], 1),))
 
-    dense = [[row.get(c, 0) for c in range(len(slots))] for row in sparse_rows]
-    system = LinearSystem(slots=slots, rows=dense, rhs=[0] * len(dense), p=p)
-    rref, pivots = rref_mod_p(dense, len(slots), p)
+    system = LinearSystem(slots=slots, rows=rows, p=p)
+    rref, pivots = rref_mod_p(rows, len(slots), p)
     basis_vecs = nullspace_basis(rref, pivots, len(slots), p)
     pivot_set = set(pivots)
     return SolverResult(
@@ -315,12 +316,12 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         max_degree=max_degree,
         slots=slots,
         instances=instances,
-        equations=len(dense),
+        equations=len(rows),
         deferred=deferred,
         rank=len(pivots),
         pivot_slots=[slots[c] for c in pivots],
         free_slots=[slots[c] for c in range(len(slots)) if c not in pivot_set],
-        basis=[{slots[i]: v for i, v in enumerate(vec) if v} for vec in basis_vecs],
+        basis=[{slots[c]: v for c, v in vec.items()} for vec in basis_vecs],
         cartan_rectangle=_cartan_rectangle(first_deferred, max_degree),
         system=system,
         targets=targets,

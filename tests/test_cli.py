@@ -285,6 +285,30 @@ class TestFileModules:
         assert err.startswith("data error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "doc, argv, message",
+        [
+            (dict(S1_SPEC_NO_TABLE, product_table=[5]), ("verify", "signs", "--spec"),
+             "product table entry: expected a JSON object"),
+            ({"algebra": S1_SPEC_NO_TABLE,
+              "action_table": {"max_op": 2, "max_gen": 2, "entries": ["op"]}},
+             ("compute", "--word", "0", "--gen", "0", "--module"),
+             "action table entry: expected a JSON object"),
+            ({"algebra": S1_SPEC_NO_TABLE,
+              "action_table": {"max_op": 2, "max_gen": 2, "entries": [
+                  {"op": 0, "gen": 0, "terms": [[1, 1]]}, {"op": 0, "gen": 0, "terms": []}]}},
+             ("compute", "--word", "0", "--gen", "0", "--module"),
+             "duplicate action table entry (0, 0)"),
+        ],
+    )
+    def test_malformed_entry_is_data_error(self, capsys, tmp_path, doc, argv, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"data error: {message}\n"
+
+    @pytest.mark.parametrize(
         "generator, action, argv",
         [
             ({"max_index": 3}, "s1_p2", ("compute", "--word", "0,0", "--gen", "1")),

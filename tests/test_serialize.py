@@ -67,6 +67,16 @@ class TestAlgebraSchema:
         with pytest.raises(SchemaError):
             algebra_from_obj(dict(S1_OBJ, p="two"))
 
+    @pytest.mark.parametrize("row", [5, "a", ["a", 0], None])
+    def test_non_object_table_row(self, row):
+        with pytest.raises(SchemaError, match="^product table entry: expected a JSON object$"):
+            algebra_from_obj(dict(S1_OBJ, product_table=[row]))
+
+    @pytest.mark.parametrize("obj", [[], "spec", 2])
+    def test_non_object_spec(self, obj):
+        with pytest.raises(SchemaError, match="^algebra spec: expected a JSON object$"):
+            algebra_from_obj(obj)
+
     def test_nonprime_p(self):
         with pytest.raises(SchemaError):
             algebra_from_obj(dict(S1_OBJ, p=6))
@@ -104,6 +114,25 @@ class TestModuleSchema:
         assert isinstance(module.action, ActionTable)
         assert module.act(0, 0).terms == {1: 1}
         assert module_to_obj(module) == obj
+
+    @pytest.mark.parametrize("row", ["op", 0, [0, 0, []]])
+    def test_non_object_table_entry(self, row):
+        table = {"max_op": 4, "max_gen": 4, "entries": [row]}
+        with pytest.raises(SchemaError, match="^action table entry: expected a JSON object$"):
+            module_from_obj({"algebra": dict(S1_OBJ), "action_table": table})
+
+    def test_duplicate_table_entry(self):
+        entries = [
+            {"op": 0, "gen": 0, "terms": [[1, 1]]},
+            {"op": 0, "gen": 0, "terms": []},
+        ]
+        table = {"max_op": 4, "max_gen": 4, "entries": entries}
+        with pytest.raises(SchemaError, match=r"^duplicate action table entry \(0, 0\)$"):
+            module_from_obj({"algebra": dict(S1_OBJ), "action_table": table})
+
+    def test_non_object_module(self):
+        with pytest.raises(SchemaError, match="^module spec: expected a JSON object$"):
+            module_from_obj(["s1_p2"])
 
     def test_unknown_builtin(self):
         with pytest.raises(SchemaError):
@@ -174,6 +203,10 @@ class TestRelationOverrideSchema:
         ]
         with pytest.raises(SchemaError):
             relation_overrides_from_obj(doc)
+
+    def test_non_object_entry(self):
+        with pytest.raises(SchemaError, match="^relation override: expected a JSON object$"):
+            relation_overrides_from_obj([[4, 0, []]])
 
     def test_bad_coefficient(self):
         with pytest.raises(SchemaError):

@@ -16,8 +16,9 @@ from lowerq import (
 from lowerq.solver import _instance_rows, nullspace_basis, rref_mod_p
 
 
-# --- references: the dense elimination and the recomputing rectangle search
-# that the solver used before it ran on sparse rows and deferral flags ---
+# --- references: the dense elimination and nullspace, and the recomputing
+# rectangle search, that the solver used before it ran on sparse rows and
+# deferral flags ---
 
 
 def dense_rref_mod_p(rows, ncols, p):
@@ -38,6 +39,30 @@ def dense_rref_mod_p(rows, ncols, p):
         pivots.append(col)
         r += 1
     return rows[:r], pivots
+
+
+def dense_nullspace_basis(rref_rows, pivots, ncols, p):
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for row, c in zip(rref_rows, pivots):
+            vec[c] = (-row[f]) % p
+        basis.append(vec)
+    return basis
+
+
+def pair_rows(rows, p):
+    """Dense rows in the solver's row format: (col, coeff) tuples sorted by
+    col, holding only the nonzero coefficients reduced mod p."""
+    return [tuple((c, v % p) for c, v in enumerate(row) if v % p) for row in rows]
+
+
+def densify(vecs, ncols):
+    return [[vec.get(c, 0) for c in range(ncols)] for vec in vecs]
 
 
 def recomputed_cartan_rectangle(m, cols, targets, max_degree):
@@ -110,14 +135,17 @@ def reference_instance_rows(m, cols, targets, n, a, b):
 
 
 def assert_rows_match_reference(module, result):
-    """Every instance (n, a, b) and (n, b, a) of the solve, row for row."""
+    """Every instance (n, a, b) and (n, b, a) of the solve, row for row, with
+    the reference's dict rows put in the solver's row format."""
     cols = {slot: i for i, slot in enumerate(result.slots)}
     pairs = {}
     for a, b in result.targets:
         for n in range(result.max_degree + 1):
             for u, v in ((a, b), (b, a)):
                 got = _instance_rows(module, cols, result.targets, pairs, n, u, v)
-                assert got == reference_instance_rows(module, cols, result.targets, n, u, v)
+                rows, deferred = reference_instance_rows(module, cols, result.targets, n, u, v)
+                want = [tuple(sorted((c, x) for c, x in row.items() if x)) for row in rows]
+                assert got == (want, deferred)
 
 
 def reference_rectangle(module, result):
@@ -137,34 +165,40 @@ def matrices(draw):
 
 class TestLinearAlgebra:
     def test_rref_gf2(self):
-        rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+        rows = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, 1))]
         rref, pivots = rref_mod_p(rows, 3, 2)
         assert pivots == [0, 1]
-        assert rref == [[1, 0, 1], [0, 1, 1]]
+        assert rref == [{0: 1, 2: 1}, {1: 1, 2: 1}]
 
     def test_rref_gf5_normalizes_pivots(self):
-        rows = [[2, 1], [4, 2]]
+        rows = [((0, 2), (1, 1)), ((0, 4), (1, 2))]
         rref, pivots = rref_mod_p(rows, 2, 5)
         assert pivots == [0]
-        assert rref == [[1, 3]]  # 2^{-1} = 3 mod 5
+        assert rref == [{0: 1, 1: 3}]  # 2^{-1} = 3 mod 5
 
     def test_nullspace_members_annihilate(self):
-        rows = [[1, 1, 1, 0], [0, 1, 0, 1]]
+        rows = [((0, 1), (1, 1), (2, 1)), ((1, 1), (3, 1))]
         rref, pivots = rref_mod_p(rows, 4, 3)
         for vec in nullspace_basis(rref, pivots, 4, 3):
             for row in rows:
-                assert sum(a * b for a, b in zip(row, vec)) % 3 == 0
+                assert sum(a * vec.get(c, 0) for c, a in row) % 3 == 0
 
     @given(matrices())
     @settings(max_examples=100, deadline=None)
     def test_rref_matches_dense_reference(self, case):
         rows, ncols, p = case
-        assert rref_mod_p(rows, ncols, p) == dense_rref_mod_p(rows, ncols, p)
+        rref, pivots = rref_mod_p(pair_rows(rows, p), ncols, p)
+        want_rref, want_pivots = dense_rref_mod_p(rows, ncols, p)
+        assert (densify(rref, ncols), pivots) == (want_rref, want_pivots)
+        assert all(0 < v < p for row in rref for v in row.values())
+        basis = nullspace_basis(rref, pivots, ncols, p)
+        assert densify(basis, ncols) == dense_nullspace_basis(want_rref, want_pivots, ncols, p)
+        assert all(list(vec) == sorted(vec) and 0 < min(vec.values()) for vec in basis)
 
     def test_nullspace_dimension(self):
-        rows = [[1, 0, 1], [0, 1, 1]]
+        rows = [((0, 1), (2, 1)), ((1, 1), (2, 1))]
         rref, pivots = rref_mod_p(rows, 3, 2)
-        assert len(nullspace_basis(rref, pivots, 3, 2)) == 1
+        assert nullspace_basis(rref, pivots, 3, 2) == [{0: 1, 1: 1, 2: 1}]
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +218,7 @@ class TestSolveS1:
         cols = {slot: i for i, slot in enumerate(result.slots)}
         rows, deferred = _instance_rows(s1_module(), cols, result.targets, {}, 0, 0, 0)
         assert not deferred
-        assert rows == [{cols[(0, 0)]: 1, cols[(1, 1)]: 1}]
+        assert rows == [((cols[(0, 0)], 1), (cols[(1, 1)], 1))]
         for vec in result.basis:
             assert vec.get((0, 0), 0) == vec.get((1, 1), 0)
 
@@ -241,6 +275,28 @@ class TestSolveS1:
     def test_rows_match_full_loop_reference(self):
         m = s1_module()
         assert_rows_match_reference(m, solve_product_table(m, 40))
+
+    @pytest.mark.parametrize("max_degree, nslots", [(12, 12), (14, 16)])
+    def test_basis_spans_every_brute_force_solution(self, max_degree, nslots):
+        # every GF(2) assignment to the slots: the zero-residual ones are
+        # exactly the 2**len(basis) combinations of the basis vectors, each
+        # the combination given by its values on the free slots
+        result = solve_product_table(s1_module(), max_degree)
+        assert len(result.slots) == nslots
+        zero = [0] * result.equations
+        solutions = 0
+        for mask in range(2**nslots):
+            vec = [(mask >> c) & 1 for c in range(nslots)]
+            if result.system.residual(vec) != zero:
+                continue
+            solutions += 1
+            values = dict(zip(result.slots, vec))
+            combo = dict.fromkeys(result.slots, 0)
+            for slot, basis_vec in zip(result.free_slots, result.basis):
+                for s, v in basis_vec.items():
+                    combo[s] = (combo[s] + values[slot] * v) % 2
+            assert combo == values
+        assert solutions == 2 ** len(result.basis)
 
     def test_slots_in_lexicographic_order(self, result):
         assert result.slots == sorted(result.slots)
