@@ -2,9 +2,11 @@
 
 Exit codes: 0 success (verifications clean), 1 verification failures
 found, 2 usage error, 3 data error (any ValueError the data raises:
-bad files, undefined products, out-of-range action queries or generator
-indices, a degree rule the solver cannot use; and a rewrite that runs
-out of its step budget, which only a cyclic relation override causes).
+bad or too deeply nested files, undefined products, out-of-range action
+queries or generator indices, a degree rule the solver cannot use, a
+relation override that expands a pair into itself, and a rewrite that
+runs out of its step budget, which only a cyclic relation override
+causes).
 
 Words are comma-separated unsigned decimals; the leftmost index is
 applied last, so --word 2,0 means apply Q_0 first and Q_2 to the result.
@@ -27,7 +29,6 @@ from .actions import (
     s1_candidate_table,
 )
 from .algebra import JoinAlgebraSpec
-from .errors import RewriteBudgetError
 from .operations import OperationWord, RelationTable
 from .serialize import (
     algebra_from_obj,
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RewriteBudgetError) as e:
+    except ValueError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
 

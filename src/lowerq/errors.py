@@ -29,9 +29,9 @@ class RelationDataError(ValueError):
     """No relation data available, or an override table is malformed."""
 
 
-class RewriteBudgetError(RuntimeError):
-    """Internal error: rewrite step budget exceeded (should never fire for
-    index ranges the shipped relation family supports)."""
+class RewriteBudgetError(RelationDataError):
+    """A rewrite ran out of its pair-expansion budget: only an override
+    table whose expansions cycle can cause it."""
 
 
 class SchemaError(ValueError):

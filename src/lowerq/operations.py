@@ -152,17 +152,6 @@ class OperationSum:
     def from_word(cls, word: OperationWord, coeff: int = 1) -> "OperationSum":
         return cls(word.p, {word: coeff})
 
-    def __add__(self, other: "OperationSum") -> "OperationSum":
-        if self.p != other.p:
-            raise ValueError("sums over different primes")
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return OperationSum(self.p, terms)
-
-    def __rmul__(self, c: int) -> "OperationSum":
-        return OperationSum(self.p, {w: c * v for w, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OperationSum)
@@ -227,24 +216,22 @@ class RelationTerm:
         return not (self.outer.is_constant and self.inner.is_constant)
 
     def expand(self, p: int) -> list[tuple[int, tuple[int, int]]]:
+        binom = isinstance(self.coeff, tuple)
         if not self.uses_variable():
-            if isinstance(self.coeff, tuple):
-                c = lucas_binom(self.coeff[0].at(0), self.coeff[1].at(0), p)
-            else:
-                c = self.coeff % p
-            out, inn = self.outer.at(0), self.inner.at(0)
-            if c == 0 or out < 0 or inn < 0:
-                return []
-            return [(c, (out, inn))]
-        if not isinstance(self.coeff, tuple):
+            ws = range(1)
+        elif binom:
+            lo, hi = _binom_support(*self.coeff)
+            ws = range(lo, hi + 1)
+        else:
             raise RelationDataError(
                 "parametric relation term needs a binomial coefficient to bound its range"
             )
-        n_expr, k_expr = self.coeff
-        lo, hi = _binom_support(n_expr, k_expr)
         terms = []
-        for w in range(lo, hi + 1):
-            c = lucas_binom(n_expr.at(w), k_expr.at(w), p)
+        for w in ws:
+            if binom:
+                c = lucas_binom(self.coeff[0].at(w), self.coeff[1].at(w), p)
+            else:
+                c = self.coeff % p
             out, inn = self.outer.at(w), self.inner.at(w)
             if c and out >= 0 and inn >= 0:
                 terms.append((c, (out, inn)))
@@ -315,6 +302,11 @@ class RelationTable:
             for term in self.overrides[key]:
                 for c, pair in term.expand(self.p):
                     acc[pair] = (acc.get(pair, 0) + c) % self.p
+            if acc.get(key):
+                # Q_r Q_s would be rewritten into itself until the budget ran out
+                raise RelationDataError(
+                    f"relation override for ({r}, {s}) yields ({r}, {s}) again"
+                )
             expansion = tuple(
                 sorted(((c, pair) for pair, c in acc.items() if c), key=lambda t: t[1])
             )
@@ -327,24 +319,21 @@ class RelationTable:
 def adem_rewrite(
     w: OperationWord,
     relations: RelationTable | None = None,
-    order: str = "leftmost",
     budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> OperationSum:
     """Rewrite a word into an equal sum of admissible words.
 
-    order selects which non-admissible adjacent pair of a word is expanded
-    ("leftmost" or "rightmost"); it fixes each word's normal form, and the
-    shipped family gives the same normal form under either order. budget
-    bounds the number of pair expansions and exists only as a guard
+    The leftmost non-admissible adjacent pair of a word is expanded first;
+    the shipped family gives the same normal form whichever pair is taken.
+    budget bounds the number of pair expansions and exists only as a guard
     against malformed override tables. See rewrite_sum.
     """
-    return rewrite_sum(OperationSum.from_word(w), relations, order=order, budget=budget)
+    return rewrite_sum(OperationSum.from_word(w), relations, budget=budget)
 
 
 def rewrite_sum(
     s: OperationSum,
     relations: RelationTable | None = None,
-    order: str = "leftmost",
     budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> OperationSum:
     """Linear extension of adem_rewrite to sums of words.
@@ -354,22 +343,17 @@ def rewrite_sum(
     word it yields is smaller than the word it came from: a word is taken
     up only after every word that can yield it, and is expanded once, with
     its fully merged coefficient, or skipped when that coefficient is 0.
-    Which pair of a word is expanded depends on the word alone (order), so
-    on a table whose expansions terminate the order in which words are
-    taken up cannot change the result.
+    Which pair of a word is expanded (the leftmost descent) depends on the
+    word alone, so on a table whose expansions terminate the order in which
+    words are taken up cannot change the result.
 
-    budget counts pair expansions; on shipped data there are never more of
-    them than a smallest-first loop would make. An override table whose
-    expansions can cycle is malformed. On one, a word whose merged
-    coefficient cancels is not expanded, so a cycle can end, or go on until
-    the budget runs out, where taking words up smallest first would not.
+    budget counts pair expansions. An override table whose expansions can
+    cycle is malformed; on one, whether the budget runs out can depend on
+    which coefficients cancel.
     """
-    if order not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown reduction order {order!r}")
     if relations is None:
         relations = RelationTable(s.p)
     p = s.p
-    leftmost = order == "leftmost"
     # Words are kept negated, so the heap's smallest key is the largest word.
     pending: dict[tuple[int, ...], int] = {}
     for word, c in s.terms.items():
@@ -386,7 +370,7 @@ def rewrite_sum(
         if c == 0:
             continue
         # A descent idx[t] > idx[t + 1] reads neg[t] < neg[t + 1].
-        for t in range(len(neg) - 1) if leftmost else range(len(neg) - 2, -1, -1):
+        for t in range(len(neg) - 1):
             if neg[t] < neg[t + 1]:
                 break
         else:

@@ -205,3 +205,5 @@ def load_json(path: str):
         raise SchemaError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise SchemaError(f"{path} is nested too deeply to parse") from e

@@ -151,9 +151,24 @@ class TestVerifyCommands:
         assert "FAIL" in out
 
     def test_cyclic_override_is_data_error(self, capsys, tmp_path):
-        # Q_2 Q_0 -> Q_2 Q_0 never reaches an admissible word
+        # Q_2 Q_0 -> Q_2 Q_0 is rejected when the pair is first expanded
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps([{"r": 2, "s": 0, "terms": [[1, 2, 0]]}]))
+        code, out, err = run(
+            capsys, "verify", "adem", "--module", "s1_p2", "--max-index", "6",
+            "--max-gen", "3", "--relations", str(path),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "data error: relation override for (2, 0) yields (2, 0) again\n"
+
+    def test_two_cycle_override_exhausts_budget(self, capsys, tmp_path):
+        # Q_3 Q_1 -> Q_5 Q_0 -> Q_3 Q_1 never reaches an admissible word
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps([
+            {"r": 3, "s": 1, "terms": [[1, 5, 0]]},
+            {"r": 5, "s": 0, "terms": [[1, 3, 1]]},
+        ]))
         code, out, err = run(
             capsys, "verify", "adem", "--module", "s1_p2", "--max-index", "6",
             "--max-gen", "3", "--relations", str(path),
@@ -202,6 +217,23 @@ class TestVerifyCommands:
         path.write_text("{not json")
         code, _, err = run(capsys, "verify", "signs", "--spec", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "signs", "--spec"),
+            ("verify", "adem", "--module", "s1_p2", "--max-index", "4", "--max-gen", "2",
+             "--relations"),
+            ("compute", "--word", "0", "--gen", "0", "--module"),
+        ],
+    )
+    def test_deeply_nested_json_is_data_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"data error: {path} is nested too deeply to parse\n"
 
 
 class TestSolve:
