@@ -19,7 +19,7 @@ from .actions import (
     s1_candidate_table,
     s1_module,
 )
-from .fields import FpScalar, binom_mod_p, fp_add, fp_mul, is_prime, lucas_binom
+from .fields import FpScalar, binom_mod_p, is_prime, lucas_binom
 from .operations import (
     OperationSum,
     OperationWord,
@@ -53,8 +53,6 @@ __all__ = [
     "builtin_module",
     "commutativity_sign",
     "flip_coefficient",
-    "fp_add",
-    "fp_mul",
     "is_admissible",
     "is_prime",
     "lucas_binom",

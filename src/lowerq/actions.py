@@ -105,7 +105,10 @@ class ModuleSpec:
     reads only the memo, so it records nothing beyond a query that
     raised. The Cartan loops of cartan_expand and of the solver run over
     it instead of over every i in 0..n; for the circle module only the
-    i = 2j with j & g == 0 are nonzero (Lucas).
+    i = 2j with j & g == 0 are nonzero (Lucas). The solver reads whole
+    entries, up to its degree bound, in another order than such a loop
+    would; it keeps that loop's result and, for a module that raises, its
+    first error.
 
     The arithmetic runs on plain {index: coeff} dicts in private helpers:
     _apply_op_terms, _apply_word_terms, _apply_sum_terms and _cartan_terms.

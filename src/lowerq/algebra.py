@@ -97,9 +97,6 @@ class GradedElement:
             terms[idx] = terms.get(idx, 0) + c
         return GradedElement(self.family, self.p, terms)
 
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (self.p - 1) * other
-
     def __rmul__(self, c: int) -> "GradedElement":
         return GradedElement(self.family, self.p, {i: c * v for i, v in self.terms.items()})
 

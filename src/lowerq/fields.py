@@ -55,10 +55,6 @@ class FpScalar:
         self._check(other)
         return FpScalar(self.value + other.value, self.p)
 
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._check(other)
-        return FpScalar(self.value - other.value, self.p)
-
     def __mul__(self, other: "FpScalar") -> "FpScalar":
         self._check(other)
         return FpScalar(self.value * other.value, self.p)
@@ -81,16 +77,6 @@ class FpScalar:
 
     def __repr__(self):
         return f"FpScalar({self.value}, p={self.p})"
-
-
-def fp_add(a: FpScalar, b: FpScalar) -> FpScalar:
-    """Sum in F_p; the two operands must share the modulus."""
-    return a + b
-
-
-def fp_mul(a: FpScalar, b: FpScalar) -> FpScalar:
-    """Product in F_p; the two operands must share the modulus."""
-    return a * b
 
 
 _SMALL_BINOM: dict[int, list[list[int]]] = {}

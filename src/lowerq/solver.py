@@ -10,28 +10,23 @@ homogeneous equation per target generator. Instances that mention, with
 nonzero coefficient, a slot beyond the degree bound are deferred
 (counted, never silently dropped). The system is reduced by exact
 Gaussian elimination over F_p to reduced row-echelon form with columns
-ordered lexicographically by (a, b), so ranks, free slots and nullspace
-bases are reproducible. The rows keep one sparse format (see LinearSystem)
-from assembly on: rref_mod_p eliminates on {col: coeff} dict copies of
-them and nullspace_basis emits {col: coeff} vectors, so no dense row or
-vector is ever built.
+ordered lexicographically by (a, b); that form is unique, so ranks, free
+slots and nullspace bases are reproducible. The rows stay sparse (see
+LinearSystem) from assembly to the nullspace basis.
 
-An instance's right-hand side runs only over the i with Q_i(x_a) != 0,
-read from the module's index of nonzero operations, and looks up
-Q_{n-i}(x_b) in the memo for each of them, so it queries the same action
-cells as a loop over every i in 0..n. The canonical slot, target and
-commutation sign of each ordered product term (u, v) are worked out once
-per solve and kept in a map that solve_product_table owns.
+Each canonical pair (a, b) is assembled in one pass over every n <=
+max_degree: the module's index of nonzero operations on x_a is convolved
+with the one on x_b, and the left-hand sides are read from the index on
+the pair's target. The result, and the first error of a module that
+raises, are those of a loop over every i in 0..n for each instance; when
+nothing raises, the same action cells are queried. The target, sign and
+column of each ordered product term (u, v) are worked out once per solve.
 
-The reported Cartan rectangle needs, for every generator square
-[0, g] x [0, g], the first n at which some instance (n, a, b) of the
-square is deferred. The main loop has already classified every canonical
-pair a <= b for every n <= max_degree, so it records the first deferred
-n of each pair and the rectangle search reads those flags instead of
-rebuilding instances. The ordered pair (b, a) needs no flag of its own:
-its expansion mentions the same slots as that of (a, b), with the roles
-of i and j swapped, and its coefficients differ only by commutation
-signs, which are +-1 and so never turn a nonzero coefficient into zero.
+The Cartan rectangle needs, for every square [0, g] x [0, g], the first
+n at which some instance (n, a, b) of the square is deferred; assembly
+records it for every canonical pair. The ordered pair (b, a) needs none:
+its expansion mentions the slots of that of (a, b), with i and j swapped,
+and its coefficients differ only by signs +-1, which never make one zero.
 """
 
 from __future__ import annotations
@@ -43,34 +38,42 @@ from .algebra import sign_exponent
 
 Slot = tuple[int, int]
 Row = tuple[tuple[int, int], ...]
+PairInfo = tuple[int | None, int, int | None]  # target, sign, column of a product term
 
 
 def rref_mod_p(rows: list[Row], ncols: int, p: int) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row-echelon form over F_p of (col, coeff) rows; returns the
-    nonzero reduced rows as {col: coeff} dicts and their pivot columns."""
-    sparse = [dict(row) for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(sparse)) if col in sparse[i]), None)
-        if pivot is None:
-            continue
-        sparse[r], sparse[pivot] = sparse[pivot], sparse[r]
-        inv = pow(sparse[r][col], -1, p)
-        prow = sparse[r] = {c: v * inv % p for c, v in sparse[r].items()}
-        for i, row in enumerate(sparse):
-            f = row.get(col)
-            if f is None or i == r:
-                continue
-            for c, v in prow.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    del row[c]
-        pivots.append(col)
-        r += 1
-    return sparse[:r], pivots
+    nonzero reduced rows as {col: coeff} dicts and their pivot columns.
+    Each row in turn is reduced by the echelon rows so far and joins them,
+    normalized, under its lowest column; back-reduction runs right to left."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            col = min(r)
+            prow = echelon.get(col)
+            if prow is None:
+                inv = pow(r[col], -1, p)
+                echelon[col] = {c: v * inv % p for c, v in r.items()}
+                break
+            _subtract(r, r[col], prow, p)
+    pivots = sorted(echelon)
+    for col in reversed(pivots):
+        prow = echelon[col]
+        # the rows right of col are reduced: each subtraction clears one pivot
+        for c in [c for c in prow if c != col and c in echelon]:
+            _subtract(prow, prow[c], echelon[c], p)
+    return [echelon[col] for col in pivots], pivots
+
+
+def _subtract(row: dict[int, int], f: int, prow: dict[int, int], p: int) -> None:
+    """row -= f * prow over F_p, in place, keeping only nonzero entries."""
+    for c, v in prow.items():
+        nv = (row.get(c, 0) - f * v) % p
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
 
 
 def nullspace_basis(
@@ -184,68 +187,71 @@ def _enumerate_pairs(m: ModuleSpec, max_degree: int) -> dict[Slot, int | None]:
     return targets
 
 
-def _instance_rows(
-    m: ModuleSpec,
-    cols: dict[Slot, int],
-    targets: dict[Slot, int | None],
-    pairs: dict[Slot, tuple[Slot, int | None, int]],
-    n: int,
-    a: int,
-    b: int,
-):
-    """The nonzero rows (one per target generator) of one Cartan instance,
-    as sorted (col, coeff) tuples.
+def _pair_rows(
+    m: ModuleSpec, cols: dict[Slot, int], targets: dict[Slot, int | None],
+    pairs: dict[Slot, PairInfo], a: int, b: int, max_degree: int
+) -> tuple[set[int], list[Row]]:
+    """The Cartan instances (n, a, b) of one canonical pair for every
+    n <= max_degree, as (deferred, rows): the set of n whose instance is
+    deferred, and the nonzero rows of the others as sorted (col, coeff)
+    tuples, in the order of n and then of their target generator.
 
-    targets is the slot map of _enumerate_pairs and must hold the pair
-    (a, b); the target of a product term outside it is worked out from the
-    degree law. pairs caches, per ordered pair (u, v) of one solve, its
-    canonical slot, that slot's target and the commutation sign of (u, v).
-    Returns (rows, deferred): deferred is True when the instance mentions,
-    with nonzero coefficient, an unknown outside the solved range.
+    targets is the slot map of _enumerate_pairs; the target of a product
+    term outside it is worked out from the degree law. pairs caches, per
+    ordered pair (u, v) of one solve, the target of its canonical slot, its
+    sign and the slot's column (None outside the solved range).
     """
     spec = m.algebra
     p = spec.p
     fam = spec.family
-    acc: dict[int, dict[int, int]] = {}
-    deferred = False
-
-    def pair(u: int, v: int) -> tuple[Slot, int | None, int]:
-        hit = pairs.get((u, v))
-        if hit is None:
-            slot = (u, v) if u <= v else (v, u)
-            target = targets[slot] if slot in targets else spec.slot_target(*slot)
-            sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
-            hit = pairs[(u, v)] = (slot, target, sgn)
-        return hit
-
-    def add(target_gen: int, slot: Slot, coeff: int):
-        nonlocal deferred
-        coeff %= p
-        if not coeff:
-            return
-        col = cols.get(slot)
-        if col is None:
-            deferred = True
-            return
-        row = acc.setdefault(target_gen, {})
-        row[col] = (row.get(col, 0) + coeff) % p
-        if not row[col]:
-            del row[col]
-
-    lhs_slot, lhs_target, lhs_sign = pair(a, b)
-    if lhs_target is not None:
-        for mgen, alpha in m._act_terms(n, lhs_target):
-            add(mgen, lhs_slot, alpha * lhs_sign)
-    for i, qa in m._nonzero_ops(a, n):
-        qb = m._act_terms(n - i, b)
-        for u, beta in qa:
-            for v, gamma in qb:
-                slot, target, sgn = pair(u, v)
-                if target is None:
-                    continue  # forced zero by the degree law
-                add(target, slot, -beta * gamma * sgn)
-    rows = [tuple(sorted(row.items())) for _, row in sorted(acc.items()) if row]
-    return rows, deferred
+    lhs_target = targets[(a, b)]
+    try:
+        lhs_ops = [] if lhs_target is None else m._nonzero_ops(lhs_target, max_degree)
+        ops_a = m._nonzero_ops(a, max_degree)
+        ops_b = m._nonzero_ops(b, max_degree - ops_a[0][0]) if ops_a else []
+    except Exception:
+        # Errors are not memoized: query again in the order of the loop over
+        # n and i, Q_n(x_target), Q_n(x_a), Q_{n-i}(x_b), to raise its first.
+        for n in range(max_degree + 1):
+            if lhs_target is not None:
+                m._nonzero_ops(lhs_target, n)
+            ops = m._nonzero_ops(a, n)
+            if ops:
+                m._nonzero_ops(b, n - ops[0][0])
+        raise
+    # n -> target generator -> {col: coeff}, starting from the left-hand sides
+    accs = {n: {mgen: {cols[(a, b)]: alpha} for mgen, alpha in terms} for n, terms in lhs_ops}
+    deferred: set[int] = set()
+    for i, qa in ops_a:
+        for j, qb in ops_b:
+            n = i + j
+            if n > max_degree:
+                break
+            acc = accs.setdefault(n, {})
+            for u, beta in qa:
+                for v, gamma in qb:
+                    hit = pairs.get((u, v))
+                    if hit is None:
+                        slot = (u, v) if u <= v else (v, u)
+                        target = targets[slot] if slot in targets else spec.slot_target(*slot)
+                        sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
+                        hit = pairs[(u, v)] = (target, sgn, cols.get(slot))
+                    target, sgn, col = hit
+                    coeff = -beta * gamma * sgn % p
+                    if target is None or not coeff:
+                        continue  # target None: forced zero by the degree law
+                    if col is None:
+                        deferred.add(n)
+                        continue
+                    row = acc.setdefault(target, {})
+                    row[col] = (row.get(col, 0) + coeff) % p
+                    if not row[col]:
+                        del row[col]
+    return deferred, [
+        tuple(sorted(row.items()))
+        for n, acc in sorted(accs.items()) if n not in deferred
+        for _, row in sorted(acc.items()) if row
+    ]
 
 
 def _cartan_rectangle(first_deferred: dict[Slot, int], max_degree: int) -> tuple[int, int] | None:
@@ -286,21 +292,15 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
     slots = [slot for slot, target in targets.items() if target is not None]
     cols = {slot: i for i, slot in enumerate(slots)}
 
-    pairs: dict[Slot, tuple[Slot, int | None, int]] = {}
+    pairs: dict[Slot, PairInfo] = {}
     rows: list[Row] = []
-    instances = 0
     deferred = 0
     first_deferred: dict[Slot, int] = {}
     for (a, b) in targets:
-        first_deferred[(a, b)] = max_degree + 1
-        for n in range(max_degree + 1):
-            instances += 1
-            instance_rows, was_deferred = _instance_rows(m, cols, targets, pairs, n, a, b)
-            if was_deferred:
-                deferred += 1
-                first_deferred[(a, b)] = min(first_deferred[(a, b)], n)
-                continue
-            rows.extend(instance_rows)
+        pair_deferred, pair_rows = _pair_rows(m, cols, targets, pairs, a, b, max_degree)
+        deferred += len(pair_deferred)
+        first_deferred[(a, b)] = min(pair_deferred, default=max_degree + 1)
+        rows.extend(pair_rows)
     # An odd sign exponent forces diagonal entries to vanish outright.
     if p != 2:
         for (a, b) in slots:
@@ -315,7 +315,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         p=p,
         max_degree=max_degree,
         slots=slots,
-        instances=instances,
+        instances=len(targets) * (max_degree + 1),
         equations=len(rows),
         deferred=deferred,
         rank=len(pivots),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lowerq import FpScalar, binom_mod_p, fp_add, fp_mul, is_prime, lucas_binom
+from lowerq import FpScalar, binom_mod_p, is_prime, lucas_binom
 from lowerq.errors import FieldMismatchError
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -40,20 +40,20 @@ class TestFpScalar:
                 FpScalar(1, bad)
 
     def test_add_examples(self):
-        assert fp_add(FpScalar(1, 2), FpScalar(1, 2)) == FpScalar(0, 2)
-        assert fp_add(FpScalar(2, 3), FpScalar(2, 3)) == FpScalar(1, 3)
-        assert fp_add(FpScalar(0, 5), FpScalar(4, 5)) == FpScalar(4, 5)
+        assert FpScalar(1, 2) + FpScalar(1, 2) == FpScalar(0, 2)
+        assert FpScalar(2, 3) + FpScalar(2, 3) == FpScalar(1, 3)
+        assert FpScalar(0, 5) + FpScalar(4, 5) == FpScalar(4, 5)
 
     def test_mul_examples(self):
-        assert fp_mul(FpScalar(1, 7), FpScalar(4, 7)) == FpScalar(4, 7)
-        assert fp_mul(FpScalar(2, 3), FpScalar(2, 3)) == FpScalar(1, 3)
-        assert fp_mul(FpScalar(3, 5), FpScalar(4, 5)) == FpScalar(2, 5)
+        assert FpScalar(1, 7) * FpScalar(4, 7) == FpScalar(4, 7)
+        assert FpScalar(2, 3) * FpScalar(2, 3) == FpScalar(1, 3)
+        assert FpScalar(3, 5) * FpScalar(4, 5) == FpScalar(2, 5)
 
     def test_modulus_mismatch(self):
         with pytest.raises(FieldMismatchError):
-            fp_add(FpScalar(1, 2), FpScalar(1, 3))
+            FpScalar(1, 2) + FpScalar(1, 3)
         with pytest.raises(FieldMismatchError):
-            fp_mul(FpScalar(1, 5), FpScalar(1, 7))
+            FpScalar(1, 5) * FpScalar(1, 7)
 
 
 def test_is_prime_small():

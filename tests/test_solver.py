@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from lowerq import (
     ActionTable,
     GeneratorFamily,
+    GradedElement,
     JoinAlgebraSpec,
     ModuleSpec,
     lucas_binom,
@@ -13,12 +14,14 @@ from lowerq import (
     verify_cartan,
     verify_sign_laws,
 )
-from lowerq.solver import _instance_rows, nullspace_basis, rref_mod_p
+from lowerq.algebra import sign_exponent
+from lowerq.operations import single_op_degree
+from lowerq.solver import _enumerate_pairs, nullspace_basis, rref_mod_p
 
 
-# --- references: the dense elimination and nullspace, and the recomputing
-# rectangle search, that the solver used before it ran on sparse rows and
-# deferral flags ---
+# --- references: the dense elimination and nullspace, the one-instance-at-
+# a-time row assembly and the recomputing rectangle search that the solver
+# used before it ran on sparse rows, per-pair convolution and deferral flags ---
 
 
 def dense_rref_mod_p(rows, ncols, p):
@@ -66,7 +69,6 @@ def densify(vecs, ncols):
 
 
 def recomputed_cartan_rectangle(m, cols, targets, max_degree):
-    pairs = {}
     best = None
     best_score = -1
     g = 0
@@ -74,7 +76,7 @@ def recomputed_cartan_rectangle(m, cols, targets, max_degree):
         n = 0
         while n <= max_degree:
             if any(
-                _instance_rows(m, cols, targets, pairs, n, a, b)[1]
+                reference_instance_rows(m, cols, targets, n, a, b)[1]
                 for a in range(g + 1)
                 for b in range(g + 1)
             ):
@@ -134,18 +136,84 @@ def reference_instance_rows(m, cols, targets, n, a, b):
     return rows, deferred
 
 
+def reference_rows(module, targets, max_degree):
+    """The rows and deferred count of the solve, one instance (n, a, b) at a
+    time through reference_instance_rows: pairs in order, then n, then the
+    odd-p forced diagonals. Rows are in the solver's row format."""
+    spec = module.algebra
+    slots = [slot for slot, target in targets.items() if target is not None]
+    cols = {slot: i for i, slot in enumerate(slots)}
+    rows, deferred = [], 0
+    for a, b in targets:
+        for n in range(max_degree + 1):
+            instance_rows, was_deferred = reference_instance_rows(module, cols, targets, n, a, b)
+            deferred += was_deferred
+            if not was_deferred:
+                rows.extend(tuple(sorted((c, x) for c, x in row.items() if x)) for row in instance_rows)
+    if spec.p != 2:
+        for a, b in slots:
+            if a == b and sign_exponent(spec.family.degree(a), spec.family.degree(b), spec.dim_g) % 2:
+                rows.append(((cols[(a, b)], 1),))
+    return rows, deferred
+
+
+def reference_solve(module, max_degree):
+    """SolverResult.to_obj() of the solve as it ran before: reference rows,
+    dense elimination and nullspace, and the recomputing rectangle search."""
+    p = module.algebra.p
+    targets = _enumerate_pairs(module, max_degree)
+    slots = [slot for slot, target in targets.items() if target is not None]
+    cols = {slot: i for i, slot in enumerate(slots)}
+    rows, deferred = reference_rows(module, targets, max_degree)
+    dense = [[dict(row).get(c, 0) for c in range(len(slots))] for row in rows]
+    rref, pivots = dense_rref_mod_p(dense, len(slots), p)
+    basis = dense_nullspace_basis(rref, pivots, len(slots), p)
+    rectangle = recomputed_cartan_rectangle(module, cols, targets, max_degree)
+    return {
+        "p": p,
+        "max_degree": max_degree,
+        "unknowns": [list(s) for s in slots],
+        "instances": len(targets) * (max_degree + 1),
+        "equations": len(rows),
+        "deferred": deferred,
+        "rank": len(pivots),
+        "free": [list(s) for c, s in enumerate(slots) if c not in pivots],
+        "basis": [[[a, b, v] for (a, b), v in zip(slots, vec) if v] for vec in basis],
+        "cartan_rectangle": (
+            None if rectangle is None else {"max_n": rectangle[0], "max_gen": rectangle[1]}
+        ),
+        "no_constraints": not rows,
+    }
+
+
+def outcome(solve, module_factory, max_degree):
+    """The to_obj() of a solve, or the type and message of its error."""
+    try:
+        out = solve(module_factory(), max_degree)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return out if isinstance(out, dict) else out.to_obj()
+
+
 def assert_rows_match_reference(module, result):
-    """Every instance (n, a, b) and (n, b, a) of the solve, row for row, with
-    the reference's dict rows put in the solver's row format."""
+    """The solve's rows are those of reference_instance_rows over every
+    non-deferred instance (n, a, b), in the solver's order, and it defers as
+    many instances as the reference does."""
+    rows, deferred = reference_rows(module, result.targets, result.max_degree)
+    assert result.system.rows == rows
+    assert result.deferred == deferred
+
+
+def assert_transpose_defers_alike(module, result):
+    """The reference defers (n, b, a) exactly when it defers (n, a, b): the
+    rectangle search reads one deferral flag per canonical pair."""
     cols = {slot: i for i, slot in enumerate(result.slots)}
-    pairs = {}
     for a, b in result.targets:
         for n in range(result.max_degree + 1):
-            for u, v in ((a, b), (b, a)):
-                got = _instance_rows(module, cols, result.targets, pairs, n, u, v)
-                rows, deferred = reference_instance_rows(module, cols, result.targets, n, u, v)
-                want = [tuple(sorted((c, x) for c, x in row.items() if x)) for row in rows]
-                assert got == (want, deferred)
+            assert (
+                reference_instance_rows(module, cols, result.targets, n, a, b)[1]
+                == reference_instance_rows(module, cols, result.targets, n, b, a)[1]
+            )
 
 
 def reference_rectangle(module, result):
@@ -195,6 +263,17 @@ class TestLinearAlgebra:
         assert densify(basis, ncols) == dense_nullspace_basis(want_rref, want_pivots, ncols, p)
         assert all(list(vec) == sorted(vec) and 0 < min(vec.values()) for vec in basis)
 
+    @given(matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rref_ignores_row_order_and_repeats(self, case, data):
+        # the reduced form is unique: shuffled rows, some of them repeated,
+        # reduce to the dense reference's rows and pivots
+        rows, ncols, p = case
+        repeats = data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+        shuffled = data.draw(st.permutations(rows + repeats))
+        rref, pivots = rref_mod_p(pair_rows(shuffled, p), ncols, p)
+        assert (densify(rref, ncols), pivots) == dense_rref_mod_p(rows, ncols, p)
+
     def test_nullspace_dimension(self):
         rows = [((0, 1), (2, 1)), ((1, 1), (2, 1))]
         rref, pivots = rref_mod_p(rows, 3, 2)
@@ -216,9 +295,9 @@ class TestSolveS1:
     def test_first_equation_links_strata(self, result):
         # Q_0(x_0 * x_0) = c_{0,0} x_3 and Q_0(x_0) * Q_0(x_0) = c_{1,1} x_3
         cols = {slot: i for i, slot in enumerate(result.slots)}
-        rows, deferred = _instance_rows(s1_module(), cols, result.targets, {}, 0, 0, 0)
-        assert not deferred
-        assert rows == [((cols[(0, 0)], 1), (cols[(1, 1)], 1))]
+        rows, deferred = reference_instance_rows(s1_module(), cols, result.targets, 0, 0, 0)
+        assert (rows, deferred) == ([{cols[(0, 0)]: 1, cols[(1, 1)]: 1}], False)
+        assert result.system.rows[0] == ((cols[(0, 0)], 1), (cols[(1, 1)], 1))
         for vec in result.basis:
             assert vec.get((0, 0), 0) == vec.get((1, 1), 0)
 
@@ -266,6 +345,10 @@ class TestSolveS1:
         assert result.deferred > 0
         assert result.instances == len(result.slots) * (result.max_degree + 1)
 
+    def test_equations_count_repeated_rows(self, result72):
+        assert result72.equations == len(result72.system.rows) == 771
+        assert len(set(result72.system.rows)) < result72.equations
+
     def test_rectangle_matches_recomputed_reference(self):
         m = s1_module()
         for d in range(41):
@@ -274,7 +357,9 @@ class TestSolveS1:
 
     def test_rows_match_full_loop_reference(self):
         m = s1_module()
-        assert_rows_match_reference(m, solve_product_table(m, 40))
+        result = solve_product_table(m, 40)
+        assert_rows_match_reference(m, result)
+        assert_transpose_defers_alike(m, result)
 
     @pytest.mark.parametrize("max_degree, nslots", [(12, 12), (14, 16)])
     def test_basis_spans_every_brute_force_solution(self, max_degree, nslots):
@@ -345,6 +430,7 @@ class TestSolverEdges:
         result = solve_product_table(module, 14)
         assert result.equations > 0
         assert_rows_match_reference(module, result)
+        assert_transpose_defers_alike(module, result)
 
     @given(st.sets(st.tuples(st.integers(0, 10), st.integers(0, 20)), max_size=40))
     @settings(max_examples=30, deadline=None)
@@ -356,9 +442,71 @@ class TestSolverEdges:
         result = solve_product_table(module, 20)
         assert result.cartan_rectangle == reference_rectangle(module, result)
         assert_rows_match_reference(module, result)
+        assert_transpose_defers_alike(module, result)
 
     def test_non_injective_family_rejected(self):
         fam = GeneratorFamily("pt", 0, 0)
         module = ModuleSpec(JoinAlgebraSpec(3, 0, fam), ActionTable(2, 2, {}))
         with pytest.raises(ValueError):
             solve_product_table(module, 4)
+
+    @given(
+        st.sampled_from(("circle", "p3")),
+        st.integers(0, 23),
+        st.integers(0, 25),
+        st.integers(0, 25),
+        st.sets(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(1, 2)), max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_solve_on_random_tables(self, kind, max_degree, max_op, max_gen, cells):
+        # sparse tables whose rectangle is often smaller than the degree bound,
+        # so that many solves raise: the result or the first error must be the
+        # reference's, and a solve that returns queries the reference's cells
+        if kind == "circle":
+            algebra = s1_algebra()
+            entries = {(2 * j, g): [(1, 2 * g + j + 1)] for j, g, _ in cells}
+        else:
+            algebra = JoinAlgebraSpec(3, 0, GeneratorFamily("e", 1, 0))
+            entries = {(op, g): [(c, 3 * g + 2 + 4 * op)] for op, g, c in cells}
+        entries = {k: v for k, v in entries.items() if k[0] <= max_op and k[1] <= max_gen}
+        modules = []
+
+        def make():
+            modules.append(ModuleSpec(algebra, ActionTable(max_op, max_gen, entries)))
+            return modules[-1]
+
+        got = outcome(solve_product_table, make, max_degree)
+        assert got == outcome(reference_solve, make, max_degree)
+        if isinstance(got, dict):
+            assert set(modules[0]._memo) == set(modules[1]._memo)
+
+    @pytest.mark.parametrize("bad", [{(1, 3), (0, 1)}, {(2, 3), (0, 1)}, {(3, 0), (0, 1)}, set()])
+    def test_callable_matches_reference_solve(self, bad):
+        # generator 1 is no product target here (x_a * x_b lands in index
+        # a + b + 2), so the solve reads its own cells; a callable raising at
+        # a cell of a pair's target and at one of its second generator must
+        # give the error that the loop over n and i meets first
+        fam = GeneratorFamily("y", 1, 0)
+
+        def action(op, g):
+            if (op, g) in bad:
+                raise ValueError(f"bad cell {(op, g)}")
+            terms = {single_op_degree(2, op, g, 1): 1} if (op + g) % 3 else {}
+            return GradedElement(fam, 2, terms)
+
+        modules = []
+
+        def make():
+            modules.append(ModuleSpec(JoinAlgebraSpec(2, 1, fam), action))
+            return modules[-1]
+
+        for max_degree in range(11):
+            modules.clear()
+            got = outcome(solve_product_table, make, max_degree)
+            assert got == outcome(reference_solve, make, max_degree)
+            if not isinstance(got, str):
+                assert set(modules[0]._memo) == set(modules[1]._memo)
+        if bad:
+            assert got.startswith("ValueError: bad cell")
+        else:
+            assert got["equations"] > 0
