@@ -103,12 +103,12 @@ class ModuleSpec:
     for a generator g, the ops i with Q_i(x_g) != 0 and their terms, in
     increasing i. It grows lazily with the bound n it is asked for and
     reads only the memo, so it records nothing beyond a query that
-    raised. The Cartan loops of cartan_expand and of the solver run over
-    it instead of over every i in 0..n; for the circle module only the
-    i = 2j with j & g == 0 are nonzero (Lucas). The solver reads whole
-    entries, up to its degree bound, in another order than such a loop
-    would; it keeps that loop's result and, for a module that raises, its
-    first error.
+    raised. The Cartan loops of cartan_expand, verify_cartan and the solver
+    run over it instead of over every i in 0..n; for the circle module only
+    the i = 2j with j & g == 0 are nonzero (Lucas). verify_cartan and the
+    solver read whole entries, up to their bound on n, in another order
+    than such a loop would; they keep that loop's result and, for a module
+    that raises, its first error.
 
     The arithmetic runs on plain {index: coeff} dicts in private helpers:
     _apply_op_terms, _apply_word_terms, _apply_sum_terms and _cartan_terms.

@@ -79,10 +79,6 @@ class GradedElement:
         self.terms = canon  # treat as read-only
 
     @classmethod
-    def zero(cls, family: GeneratorFamily, p: int) -> "GradedElement":
-        return cls(family, p)
-
-    @classmethod
     def generator(cls, family: GeneratorFamily, p: int, index: int, coeff: int = 1) -> "GradedElement":
         return cls(family, p, {index: coeff})
 
@@ -192,10 +188,6 @@ class JoinAlgebraSpec:
                         terms.append((coeff, idx))
                 table[(a, b)] = tuple(sorted(terms, key=lambda t: t[1]))
         self.product_table = table
-
-    @property
-    def has_table(self) -> bool:
-        return self.product_table is not None
 
     def sign(self, deg_a: int, deg_b: int) -> int:
         """Commutation sign for a pair of degrees, as a reduced int."""

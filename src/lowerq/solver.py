@@ -41,7 +41,7 @@ Row = tuple[tuple[int, int], ...]
 PairInfo = tuple[int | None, int, int | None]  # target, sign, column of a product term
 
 
-def rref_mod_p(rows: list[Row], ncols: int, p: int) -> tuple[list[dict[int, int]], list[int]]:
+def rref_mod_p(rows: list[Row], p: int) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row-echelon form over F_p of (col, coeff) rows; returns the
     nonzero reduced rows as {col: coeff} dicts and their pivot columns.
     Each row in turn is reduced by the echelon rows so far and joins them,
@@ -227,6 +227,8 @@ def _pair_rows(
             n = i + j
             if n > max_degree:
                 break
+            if n in deferred:
+                continue  # its rows are dropped
             acc = accs.setdefault(n, {})
             for u, beta in qa:
                 for v, gamma in qb:
@@ -308,7 +310,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
                 rows.append(((cols[(a, b)], 1),))
 
     system = LinearSystem(slots=slots, rows=rows, p=p)
-    rref, pivots = rref_mod_p(rows, len(slots), p)
+    rref, pivots = rref_mod_p(rows, p)
     basis_vecs = nullspace_basis(rref, pivots, len(slots), p)
     pivot_set = set(pivots)
     return SolverResult(

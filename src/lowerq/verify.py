@@ -12,8 +12,12 @@ The Adem and Cartan sweeps run on the module's integer kernel: each side
 of a check is a reduced {index: coeff} dict from the private helpers
 that apply_word, apply_sum, apply_op, cartan_expand and join_product
 wrap, so both paths compute the same thing. A GradedElement is built only to
-render a failure. The sweeps query the same action cells, in the same
+render a failure. verify_adem queries the same action cells, in the same
 order, as the wrapper calls would, so the first error raised is the same.
+verify_cartan checks each generator pair (a, b) for every n in one pass,
+as the solver assembles its pairs: it gives the report of the loop over
+(n, a, b) and, when nothing raises, queries the same set of action cells.
+On an error it replays that loop, to raise the loop's first error.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 
 from .actions import ModuleSpec
-from .algebra import GradedElement, JoinAlgebraSpec, sign_exponent
+from .algebra import GradedElement, JoinAlgebraSpec, ProductEntry, sign_exponent
 from .operations import OperationWord, RelationTable, adem_rewrite
 
 
@@ -104,7 +108,7 @@ def verify_adem(
     checked = 0
     failures: list[Failure] = []
     # {g: 1} for x_0 .. x_max_gen, each checked where the first
-    # non-admissible pair first needs it, as in verify_cartan.
+    # non-admissible pair first needs it.
     gens: list[dict[int, int]] = []
     for r in range(max_index + 1):
         for s in range(r):
@@ -134,32 +138,85 @@ def verify_cartan(m: ModuleSpec, max_n: int, max_gen: int) -> VerificationReport
     a needed pair; an absent table is data missing, not a verified zero.
     """
     t0 = time.perf_counter()
-    checked = 0
-    failures: list[Failure] = []
+    try:
+        failures = _cartan_failures(m, max_n, max_gen)
+    except Exception:
+        # Errors are not memoized: run the checks again in the order of the
+        # loop over n, a and b, to raise its first error.
+        _replay_cartan(m, max_n, max_gen)
+        raise
+    return _report(max(max_n + 1, 0) * max(max_gen + 1, 0) ** 2, failures, t0)
+
+
+def _cartan_failures(m: ModuleSpec, max_n: int, max_gen: int) -> list[Failure]:
+    """The failures of verify_cartan, in the order of (n, a, b).
+
+    Each ordered pair (a, b) is checked for every n <= max_n in one pass.
+    The left-hand sides are read from the index of nonzero operations on
+    each generator of the reduced x_a * x_b; the right-hand sides convolve
+    the index entries of a and b. The generator checks, action cells and
+    products are those of the loop over n, a and b, in another order.
+    """
+    if max_n < 0:
+        return []
+    p = m.p
+    spec = m.algebra
+    ops = [m._nonzero_ops(m.family.check_index(g), max_n) for g in range(max_gen + 1)]
+    entries: dict[tuple[int, int], ProductEntry] = {}  # spec.entry(u, v), by (u, v)
+    by_n: list[list[Failure]] = [[] for _ in range(max_n + 1)]
+    for a, ops_a in enumerate(ops):
+        for b, ops_b in enumerate(ops):
+            # n -> unreduced {index: coeff}, for each side
+            lhs: dict[int, dict[int, int]] = {}
+            rhs: dict[int, dict[int, int]] = {}
+            for t, coeff in spec._product_terms({a: 1}, {b: 1}).items():
+                # a product term that cancels mod p queries no action cell
+                if coeff % p:
+                    for n, terms in m._nonzero_ops(t, max_n):
+                        acc = lhs.setdefault(n, {})
+                        for idx, c in terms:
+                            acc[idx] = acc.get(idx, 0) + coeff * c
+            for i, qa in ops_a:
+                for j, qb in ops_b:
+                    n = i + j
+                    if n > max_n:
+                        break
+                    # _product_terms(Q_i(x_a), Q_j(x_b)), added in place
+                    acc = rhs.setdefault(n, {})
+                    for u, beta in qa:
+                        for v, gamma in qb:
+                            entry = entries.get((u, v))
+                            if entry is None:
+                                entry = entries[(u, v)] = spec.entry(u, v)
+                            for coeff, idx in entry:
+                                acc[idx] = acc.get(idx, 0) + beta * gamma * coeff
+            for n in sorted(lhs.keys() | rhs.keys()):
+                left = {idx: c % p for idx, c in lhs.get(n, {}).items() if c % p}
+                right = {idx: c % p for idx, c in rhs.get(n, {}).items() if c % p}
+                if left != right:
+                    by_n[n].append(
+                        _mismatch(m, "cartan formula mismatch", {"n": n, "a": a, "b": b}, left, right)
+                    )
+    return [f for row in by_n for f in row]
+
+
+def _replay_cartan(m: ModuleSpec, max_n: int, max_gen: int) -> None:
+    """The generator checks, products and action queries of verify_cartan
+    in the order of the loop over n, a and b, with nothing compared: run
+    after an error, it raises that loop's first error."""
     p = m.p
     product = m.algebra._product_terms
-    # {g: 1} for x_0 .. x_max_gen, each checked where the first row
-    # (n = 0, a = 0) first needs it: an index past the family's bound
-    # raises only after the products that precede it in the sweep.
+    # x_b is checked where the first row (n = 0, a = 0) first needs it: an
+    # index past the family's bound raises only after the products before it
     gens: list[dict[int, int]] = []
     for n in range(max_n + 1):
         for a in range(max_gen + 1):
             for b in range(max_gen + 1):
-                checked += 1
                 if b == len(gens):
                     gens.append({m.family.check_index(b): 1})
-                xa = gens[a]
-                xb = gens[b]
-                # reduced first, as join_product's element was: a product
-                # term that cancels mod p queries no action cell
-                ab = {idx: c % p for idx, c in product(xa, xb).items() if c % p}
-                lhs = m._apply_op_terms(n, ab)
-                rhs = m._cartan_terms(n, xa, xb)
-                if lhs != rhs:
-                    failures.append(
-                        _mismatch(m, "cartan formula mismatch", {"n": n, "a": a, "b": b}, lhs, rhs)
-                    )
-    return _report(checked, failures, t0)
+                ab = {idx: c % p for idx, c in product(gens[a], gens[b]).items() if c % p}
+                m._apply_op_terms(n, ab)
+                m._cartan_terms(n, gens[a], gens[b])
 
 
 def verify_sign_laws(spec: JoinAlgebraSpec) -> VerificationReport:

@@ -42,7 +42,7 @@ def reference_cartan_expand(m, n, a, b):
     the index of nonzero operations."""
     if n < 0:
         raise ValueError("operation index must be nonnegative")
-    acc = GradedElement.zero(m.family, m.p)
+    acc = GradedElement(m.family, m.p)
     for i in range(n + 1):
         qa = m.apply_op(i, a)
         qb = m.apply_op(n - i, b)
@@ -166,7 +166,7 @@ class TestCartanExpand:
 
     def test_zero_argument(self):
         m = s1_module(s1_candidate_table("ones", 10))
-        zero = GradedElement.zero(S1_FAMILY, 2)
+        zero = GradedElement(S1_FAMILY, 2)
         assert m.cartan_expand(5, zero, x(0)).is_zero()
         assert m.cartan_expand(5, x(0), zero).is_zero()
 

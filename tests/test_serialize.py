@@ -40,7 +40,7 @@ class TestAlgebraSchema:
     def test_no_table(self):
         obj = {"p": 3, "dim_g": 0, "generator": {"name": "e", "degree_a": 1, "degree_b": 0}}
         spec = algebra_from_obj(obj)
-        assert not spec.has_table
+        assert spec.product_table is None
         assert algebra_to_obj(spec) == obj
 
     def test_missing_key(self):

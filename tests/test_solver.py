@@ -234,19 +234,19 @@ def matrices(draw):
 class TestLinearAlgebra:
     def test_rref_gf2(self):
         rows = [((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (2, 1))]
-        rref, pivots = rref_mod_p(rows, 3, 2)
+        rref, pivots = rref_mod_p(rows, 2)
         assert pivots == [0, 1]
         assert rref == [{0: 1, 2: 1}, {1: 1, 2: 1}]
 
     def test_rref_gf5_normalizes_pivots(self):
         rows = [((0, 2), (1, 1)), ((0, 4), (1, 2))]
-        rref, pivots = rref_mod_p(rows, 2, 5)
+        rref, pivots = rref_mod_p(rows, 5)
         assert pivots == [0]
         assert rref == [{0: 1, 1: 3}]  # 2^{-1} = 3 mod 5
 
     def test_nullspace_members_annihilate(self):
         rows = [((0, 1), (1, 1), (2, 1)), ((1, 1), (3, 1))]
-        rref, pivots = rref_mod_p(rows, 4, 3)
+        rref, pivots = rref_mod_p(rows, 3)
         for vec in nullspace_basis(rref, pivots, 4, 3):
             for row in rows:
                 assert sum(a * vec.get(c, 0) for c, a in row) % 3 == 0
@@ -255,7 +255,7 @@ class TestLinearAlgebra:
     @settings(max_examples=100, deadline=None)
     def test_rref_matches_dense_reference(self, case):
         rows, ncols, p = case
-        rref, pivots = rref_mod_p(pair_rows(rows, p), ncols, p)
+        rref, pivots = rref_mod_p(pair_rows(rows, p), p)
         want_rref, want_pivots = dense_rref_mod_p(rows, ncols, p)
         assert (densify(rref, ncols), pivots) == (want_rref, want_pivots)
         assert all(0 < v < p for row in rref for v in row.values())
@@ -271,12 +271,12 @@ class TestLinearAlgebra:
         rows, ncols, p = case
         repeats = data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
         shuffled = data.draw(st.permutations(rows + repeats))
-        rref, pivots = rref_mod_p(pair_rows(shuffled, p), ncols, p)
+        rref, pivots = rref_mod_p(pair_rows(shuffled, p), p)
         assert (densify(rref, ncols), pivots) == dense_rref_mod_p(rows, ncols, p)
 
     def test_nullspace_dimension(self):
         rows = [((0, 1), (2, 1)), ((1, 1), (2, 1))]
-        rref, pivots = rref_mod_p(rows, 3, 2)
+        rref, pivots = rref_mod_p(rows, 2)
         assert nullspace_basis(rref, pivots, 3, 2) == [{0: 1, 1: 1, 2: 1}]
 
 

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lowerq import (
     ActionTable,
     GeneratorFamily,
+    GradedElement,
     JoinAlgebraSpec,
     ModuleSpec,
     OperationWord,
@@ -99,6 +101,18 @@ def outcome(sweep, module, *args, **kwargs):
     return obj, cells
 
 
+def assert_same_cartan(module, max_n, max_gen):
+    """verify_cartan gives reference_verify_cartan's report without
+    elapsed_ms, or its error; when it returns, it has queried the same set
+    of action cells. Returns the report or the error's (type, message)."""
+    got, cells = outcome(verify_cartan, module, max_n, max_gen)
+    want, want_cells = outcome(reference_verify_cartan, module, max_n, max_gen)
+    assert got == want
+    if isinstance(got, dict):
+        assert set(cells) == set(want_cells)
+    return got
+
+
 def odd_module():
     """p = 3, dim_g = 0, degree rule i -> i: Q_op(e_g) sits at index
     3g + 2 + 4op and e_a * e_b at a + b + 1. The action is tabulated for
@@ -119,6 +133,59 @@ def odd_module():
             else:
                 products[(a, b)] = ((c, a + b + 1),) if c else ()
     return ModuleSpec(JoinAlgebraSpec(3, 0, E, products), ActionTable(4, 30, entries))
+
+
+@st.composite
+def cartan_cases(draw):
+    """(module, max_n, max_gen) for verify_cartan on a sparse circle or
+    p = 3 action, sometimes with a family bound. The action is tabulated
+    over a rectangle that is often too small, or is a callable that raises
+    at a few cells; the product table misses a few pairs and stops at a
+    drawn bound, and some of its entries are two terms that cancel mod p."""
+    max_index = draw(st.none() | st.integers(0, 20))
+    if draw(st.booleans()):
+        p, dim_g, fam = 2, 1, GeneratorFamily("x", 2, 0, max_index)
+        cells = draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=25))
+        entries = {(2 * j, g): ((1, 2 * g + j + 1),) for j, g in cells}
+    else:
+        p, dim_g, fam = 3, 0, GeneratorFamily("e", 1, 0, max_index)
+        cells = draw(st.sets(
+            st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 2)), max_size=25
+        ))
+        entries = {(op, g): ((c, 3 * g + 2 + 4 * op),) for op, g, c in cells}
+
+    def in_family(*indices):
+        return max_index is None or max(indices) <= max_index
+
+    bound = draw(st.integers(0, 24))
+    missing = draw(st.sets(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=4))
+    seed = draw(st.integers(0, p))
+    products = {}
+    for a in range(bound + 1):
+        for b in range(a, bound + 1):
+            if (a, b) not in missing and in_family(a + b + 1):
+                c = (7 * a + 3 * b + seed) % (p + 1)
+                products[(a, b)] = (
+                    ((1, a + b + 1), (p - 1, a + b + 1)) if c == p  # cancels mod p
+                    else ((c, a + b + 1),) if c else ()
+                )
+    algebra = JoinAlgebraSpec(p, dim_g, fam, products)
+    if draw(st.booleans()):
+        max_op, max_gen = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+        action = ActionTable(max_op, max_gen, {
+            (op, g): terms for (op, g), terms in entries.items()
+            if op <= max_op and g <= max_gen and in_family(g, terms[0][1])
+        })
+    else:
+        bad = draw(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 6)), max_size=2))
+
+        def action(op, g):
+            if (op, g) in bad:
+                raise ValueError(f"bad cell {(op, g)}")
+            return GradedElement(fam, p, [(idx, c) for c, idx in entries.get((op, g), ())])
+
+    # a negative bound checks nothing and queries nothing
+    return ModuleSpec(algebra, action), draw(st.integers(-2, 8)), draw(st.integers(-2, 4))
 
 
 def odd_relations():
@@ -215,8 +282,10 @@ class TestVerifyCartan:
 
 
 class TestParityWithWrapperSweeps:
-    """The int-dict sweeps give the reports of the wrapper-based ones, query
-    the same action cells in the same order, and raise the same errors."""
+    """The int-dict sweeps give the reports of the wrapper-based ones and
+    raise the same first errors. verify_adem queries the same action cells
+    in the same order; verify_cartan, sweeping each pair (a, b) over every
+    n at once, queries the same set of cells when it returns."""
 
     def assert_same(self, sweep, reference, module, *args, **kwargs):
         got = outcome(sweep, module, *args, **kwargs)
@@ -248,13 +317,18 @@ class TestParityWithWrapperSweeps:
     @pytest.mark.parametrize("kind, failures", [("ones", 0), ("binomial", 121)])
     def test_cartan_candidate_tables(self, kind, failures):
         m = s1_module(s1_candidate_table(kind, 4 * 12 + 32 // 2 + 2))
-        report = self.assert_same(verify_cartan, reference_verify_cartan, m, 32, 12)
+        report = assert_same_cartan(m, 32, 12)
         assert report["checked"] == 33 * 13 * 13
         assert len(report["failures"]) == failures
 
     def test_cartan_odd_p_table(self):
-        report = self.assert_same(verify_cartan, reference_verify_cartan, odd_module(), 4, 3)
+        report = assert_same_cartan(odd_module(), 4, 3)
         assert report["failures"]
+
+    @given(cartan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_cartan_matches_reference_on_random_modules(self, case):
+        assert_same_cartan(*case)
 
     @pytest.mark.parametrize("action", ["s1_p2", ActionTable(10, 10, {})])
     def test_errors_past_the_family_bound(self, action):
@@ -264,7 +338,7 @@ class TestParityWithWrapperSweeps:
         m = ModuleSpec(JoinAlgebraSpec(2, 1, fam, table), action)
         errors = [
             self.assert_same(verify_adem, reference_verify_adem, m, 4, 6)[1],
-            self.assert_same(verify_cartan, reference_verify_cartan, m, 4, 6)[1],
+            assert_same_cartan(m, 4, 6)[1],
         ]
         index = 5 if action == "s1_p2" else 4
         assert errors == [f"generator index {index} out of range for family x"] * 2
