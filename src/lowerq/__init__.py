@@ -24,12 +24,10 @@ from .operations import (
     OperationSum,
     OperationWord,
     RelationTable,
-    ThetaIndex,
     adem_rewrite,
     is_admissible,
     op_degree,
     rewrite_sum,
-    theta_to_q,
 )
 from .solver import LinearSystem, SolverResult, solve_product_table
 from .verify import VerificationReport, verify_adem, verify_cartan, verify_sign_laws
@@ -46,7 +44,6 @@ __all__ = [
     "OperationWord",
     "RelationTable",
     "SolverResult",
-    "ThetaIndex",
     "VerificationReport",
     "adem_rewrite",
     "binom_mod_p",
@@ -64,7 +61,6 @@ __all__ = [
     "s1_candidate_table",
     "s1_module",
     "solve_product_table",
-    "theta_to_q",
     "verify_adem",
     "verify_cartan",
     "verify_sign_laws",

@@ -322,16 +322,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(text: str) -> str:
+    """text with each unprintable character escaped, so that a message
+    quoting a name from a data file stays one line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        print(f"usage error: {_one_line(str(e))}", file=sys.stderr)
         return 2
     except ValueError as e:
-        print(f"data error: {e}", file=sys.stderr)
+        print(f"data error: {_one_line(str(e))}", file=sys.stderr)
         return 3
 
 

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class FieldMismatchError(ValueError):
-    """Arithmetic attempted between elements of different prime fields."""
-
-
 class FamilyMismatchError(ValueError):
     """Elements over different generator families (or different p) combined."""
 

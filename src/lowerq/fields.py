@@ -9,8 +9,6 @@ binomials vanishing.
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError
-
 _PRIMES_SEEN: set[int] = set()
 
 
@@ -36,7 +34,9 @@ def check_prime(p: int) -> int:
 
 
 class FpScalar:
-    """An element of F_p, stored fully reduced (0 <= value < p)."""
+    """An element of F_p, stored fully reduced (0 <= value < p).
+
+    A value with no arithmetic: the engine computes on plain ints."""
 
     __slots__ = ("value", "p")
 
@@ -44,23 +44,6 @@ class FpScalar:
         check_prime(p)
         self.value = value % p
         self.p = p
-
-    def _check(self, other: "FpScalar") -> None:
-        if self.p != other.p:
-            raise FieldMismatchError(
-                f"incompatible field contexts: F_{self.p} vs F_{other.p}"
-            )
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._check(other)
-        return FpScalar(self.value + other.value, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._check(other)
-        return FpScalar(self.value * other.value, self.p)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.p)
 
     def __bool__(self) -> bool:
         return self.value != 0

@@ -73,29 +73,6 @@ class OperationWord:
         return f"<{body} (p={self.p})>"
 
 
-@dataclass(frozen=True)
-class ThetaIndex:
-    """Chain-level operation index, before discarding the vanishing ones."""
-
-    i: int
-    p: int
-
-
-def theta_to_q(t: ThetaIndex) -> int | None:
-    """Operation index retained from theta_i, or None when theta_i vanishes.
-
-    For p = 2 every index survives unchanged. For odd p only multiples of
-    2(p-1) survive; the rest are identically zero and map to None.
-    """
-    check_prime(t.p)
-    if t.i < 0:
-        raise ValueError("theta index must be nonnegative")
-    if t.p == 2:
-        return t.i
-    step = 2 * (t.p - 1)
-    return t.i // step if t.i % step == 0 else None
-
-
 def single_op_degree(p: int, op_index: int, input_degree: int, dim_g: int) -> int:
     """Degree after applying one operation to a class of the given degree."""
     if p == 2:

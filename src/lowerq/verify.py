@@ -8,11 +8,12 @@ with an empty failure list certifies the identity on every instance.
 Reports are deterministic for fixed inputs (fixed iteration order, no
 sampling); only the elapsed-time field varies between runs.
 
-The Adem and Cartan sweeps run on the module's integer kernel: each side
-of a check is a reduced {index: coeff} dict from the private helpers
-that apply_word, apply_sum, apply_op, cartan_expand and join_product
-wrap, so both paths compute the same thing. A GradedElement is built only to
-render a failure. verify_adem queries the same action cells, in the same
+Every sweep runs on the integer kernel: each side of a check is a
+reduced {index: coeff} dict from the private helpers that apply_word,
+apply_sum, apply_op, cartan_expand and join_product wrap, so both paths
+compute the same thing. verify_sign_laws compares x_a * x_b with the
+signed x_b * x_a the same way. A GradedElement is built only to render
+a failure. verify_adem queries the same action cells, in the same
 order, as the wrapper calls would, so the first error raised is the same.
 verify_cartan checks each generator pair (a, b) for every n in one pass,
 as the solver assembles its pairs: it gives the report of the loop over
@@ -228,17 +229,16 @@ def verify_sign_laws(spec: JoinAlgebraSpec) -> VerificationReport:
     c = -c gives 2c = 0, so c = 0 whenever p is odd.
     """
     t0 = time.perf_counter()
+    p = spec.p
     checked = 0
     failures: list[Failure] = []
     table = spec.product_table or {}
     for (a, b) in sorted(table):
         checked += 1
-        xa = GradedElement.generator(spec.family, spec.p, a)
-        xb = GradedElement.generator(spec.family, spec.p, b)
-        ab = spec.join_product(xa, xb)
-        ba = spec.join_product(xb, xa)
+        ab = {idx: c % p for idx, c in spec._product_terms({a: 1}, {b: 1}).items() if c % p}
+        ba = {idx: c % p for idx, c in spec._product_terms({b: 1}, {a: 1}).items() if c % p}
         sgn = spec.sign(spec.family.degree(a), spec.family.degree(b))
-        if ab != sgn * ba:
+        if ab != {idx: sgn * c % p for idx, c in ba.items()}:
             s = sign_exponent(spec.family.degree(a), spec.family.degree(b), spec.dim_g)
             desc = (
                 "forced-zero diagonal entry is nonzero"
@@ -249,8 +249,8 @@ def verify_sign_laws(spec: JoinAlgebraSpec) -> VerificationReport:
                 Failure(
                     description=desc,
                     inputs={"a": a, "b": b, "sign_exponent": s},
-                    lhs=ab.render(),
-                    rhs=f"{sgn}*({ba.render()})",
+                    lhs=GradedElement(spec.family, p, ab).render(),
+                    rhs=f"{sgn}*({GradedElement(spec.family, p, ba).render()})",
                 )
             )
     return _report(checked, failures, t0)

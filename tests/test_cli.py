@@ -1,6 +1,11 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lowerq.cli import main
 from lowerq.serialize import canonical_json
@@ -396,3 +401,134 @@ class TestFileModules:
         code, out, _ = run(capsys, "compute", "--module", str(path), "--word", "0", "--gen", "0")
         assert code == 0
         assert out == "y_1\n"
+
+
+# --- fuzzed documents ----------------------------------------------------
+
+# Any JSON value. Ints stay small: check_prime trial-divides, so a huge p
+# is slow by design.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 40) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mostly(draw, strategy):
+    """The strategy, or one time in 32 any JSON value in its place."""
+    return draw(strategy if draw(st.integers(0, 31)) else json_values)
+
+
+@st.composite
+def objects(draw, fields):
+    """A JSON object with the given fields, each left out one time in 32."""
+    return {key: draw(value) for key, value in fields.items() if draw(st.integers(0, 31))}
+
+
+small = st.integers(-1, 12)
+term = mostly(st.lists(small, min_size=2, max_size=2))
+pair = st.lists(small, min_size=2, max_size=2).map(sorted) | st.tuples(small, small)
+product_entry = mostly(pair.flatmap(lambda ab: objects({
+    "a": mostly(st.just(ab[0])), "b": mostly(st.just(ab[1])),
+    "terms": mostly(st.lists(term, max_size=3)),
+})))
+algebra = objects({
+    "p": mostly(st.sampled_from([2, 3, 5, 4])),
+    "dim_g": mostly(st.integers(0, 2)),
+    "generator": mostly(objects({
+        "name": mostly(st.sampled_from(["x", "e", "", "x\ny", "\u2028"])),
+        "degree_a": mostly(st.integers(0, 3)),
+        "degree_b": mostly(st.integers(0, 2)),
+        "max_index": st.none() | st.integers(-1, 6),
+    })),
+    "product_table": st.none() | mostly(st.lists(product_entry, max_size=6)),
+})
+# the circle module's algebra, so that the builtin action accepts it
+circle_algebra = st.builds(
+    lambda table: dict(S1_SPEC_NO_TABLE, product_table=table),
+    st.none() | st.lists(product_entry, max_size=6),
+)
+action_table = objects({
+    "max_op": mostly(small),
+    "max_gen": mostly(small),
+    "entries": mostly(st.lists(mostly(objects({
+        "op": mostly(small), "gen": mostly(small), "terms": mostly(st.lists(term, max_size=2)),
+    })), max_size=6)),
+})
+module = st.one_of(
+    objects({"algebra": mostly(circle_algebra | algebra), "action": mostly(st.just("s1_p2"))}),
+    objects({"algebra": mostly(algebra), "action_table": mostly(action_table)}),
+)
+expr = mostly(small | st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+coeff = mostly(st.integers(-2, 3) | st.tuples(st.just("binom"), expr, expr).map(list))
+relations = mostly(st.lists(mostly(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda rs: objects({
+        "r": mostly(st.just(max(rs))),
+        "s": mostly(st.just(min(rs))),
+        "terms": mostly(st.lists(mostly(st.tuples(coeff, expr, expr).map(list)), max_size=3)),
+    })
+)), max_size=3))
+word = st.lists(st.integers(0, 6), max_size=3).map(lambda ix: ",".join(map(str, ix)))
+
+
+@st.composite
+def command_lines(draw):
+    """argv, with "{doc}" and "{relations}" standing for the files of the
+    drawn documents, and the documents by name."""
+    fmt = ("--format", draw(st.sampled_from(["text", "json"])))
+    kind = draw(st.sampled_from(["signs", "compute", "adem", "solve"]))
+    if kind == "signs":
+        return ["verify", "signs", "--spec", "{doc}", *fmt], {"doc": draw(algebra)}
+    if kind == "compute":
+        argv = ["compute", "--module", "{doc}", "--word", draw(word),
+                "--gen", str(draw(st.integers(0, 6))), *fmt]
+        return argv, {"doc": draw(module)}
+    if kind == "adem":
+        docs = {"relations": draw(relations)}
+        if draw(st.booleans()):
+            docs["doc"] = draw(module)
+        argv = ["verify", "adem", "--module", "{doc}" if "doc" in docs else "s1_p2",
+                "--max-index", str(draw(st.integers(0, 6))),
+                "--max-gen", str(draw(st.integers(0, 4))), "--relations", "{relations}", *fmt]
+        return argv, docs
+    argv = ["solve", "--module", "{doc}", "--max-degree", str(draw(st.integers(0, 12))), *fmt]
+    if draw(st.booleans()):
+        argv.append("--check")
+    return argv, {"doc": draw(module)}
+
+
+def run_documents(argv, docs):
+    """main(argv) with each document written to its file; the exit code,
+    stdout and stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in docs.items():
+            paths["{%s}" % name] = os.path.join(tmp, f"{name}.json")
+            with open(paths["{%s}" % name], "w") as fh:
+                json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([paths.get(arg, arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFuzzedDocuments:
+    @given(command_lines())
+    @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_exit_codes_and_one_line_errors(self, case):
+        """Every drawn document ends in exit 0-3 with no traceback, and a
+        usage or data error writes exactly one line to stderr."""
+        code, _, err = run_documents(*case)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code in (2, 3):
+            assert err.endswith("\n") and len(err.splitlines()) == 1, err
+
+    @pytest.mark.parametrize("name, shown", [("x\ny", "x\\ny"), ("\u2028", "\\u2028")])
+    def test_line_break_in_a_name_is_escaped(self, name, shown):
+        generator = {"name": name, "degree_a": 1, "degree_b": 0, "max_index": 0}
+        doc = {"p": 3, "dim_g": 0, "generator": generator, "product_table": [{"a": 0, "b": 1, "terms": []}]}
+        code, out, err = run_documents(["verify", "signs", "--spec", "{doc}"], {"doc": doc})
+        assert (code, out) == (3, "")
+        assert err == f"data error: algebra spec: generator index 1 out of range for family {shown}\n"

@@ -5,12 +5,10 @@ from lowerq import (
     OperationSum,
     OperationWord,
     RelationTable,
-    ThetaIndex,
     adem_rewrite,
     is_admissible,
     op_degree,
     rewrite_sum,
-    theta_to_q,
 )
 from lowerq.errors import RelationDataError, RewriteBudgetError
 from lowerq.operations import AffineExpr, RelationTerm, builtin_pair_terms
@@ -112,22 +110,6 @@ def override_cases(draw):
 words_strategy = st.lists(
     st.integers(min_value=0, max_value=20), min_size=0, max_size=4
 ).map(lambda ix: OperationWord(tuple(ix), 2))
-
-
-class TestThetaToQ:
-    def test_p2_identity(self):
-        assert theta_to_q(ThetaIndex(5, 2)) == 5
-        assert theta_to_q(ThetaIndex(0, 2)) == 0
-
-    def test_odd_p_retained_grid(self):
-        assert theta_to_q(ThetaIndex(4, 3)) == 1
-        assert theta_to_q(ThetaIndex(8, 3)) == 2
-        assert theta_to_q(ThetaIndex(8, 5)) == 1
-
-    def test_odd_p_vanishing(self):
-        assert theta_to_q(ThetaIndex(3, 3)) is None
-        assert theta_to_q(ThetaIndex(5, 3)) is None
-        assert theta_to_q(ThetaIndex(2, 5)) is None
 
 
 class TestOpDegree:

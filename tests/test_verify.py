@@ -14,12 +14,15 @@ from lowerq import (
     adem_rewrite,
     flip_coefficient,
     is_admissible,
+    s1_algebra,
     s1_candidate_table,
     s1_module,
+    solve_product_table,
     verify_adem,
     verify_cartan,
     verify_sign_laws,
 )
+from lowerq.algebra import sign_exponent
 from lowerq.errors import UndefinedProductError
 from lowerq.operations import AffineExpr, RelationTerm
 from lowerq.serialize import canonical_json
@@ -75,6 +78,42 @@ def reference_verify_cartan(m, max_n, max_gen):
                                 lhs.render(), rhs.render())
                     )
     return report
+
+
+def reference_verify_sign_laws(spec):
+    """The sweep verify_sign_laws ran before it compared int dicts: two
+    generators and both products built as GradedElements per stored pair."""
+    report = VerificationReport()
+    for (a, b) in sorted(spec.product_table or {}):
+        report.checked += 1
+        xa = GradedElement.generator(spec.family, spec.p, a)
+        xb = GradedElement.generator(spec.family, spec.p, b)
+        ab = spec.join_product(xa, xb)
+        ba = spec.join_product(xb, xa)
+        sgn = spec.sign(spec.family.degree(a), spec.family.degree(b))
+        if ab != sgn * ba:
+            s = sign_exponent(spec.family.degree(a), spec.family.degree(b), spec.dim_g)
+            desc = (
+                "forced-zero diagonal entry is nonzero"
+                if a == b and s % 2
+                else "commutation sign law violated"
+            )
+            report.failures.append(
+                Failure(desc, {"a": a, "b": b, "sign_exponent": s},
+                        ab.render(), f"{sgn}*({ba.render()})")
+            )
+    return report
+
+
+def assert_same_signs(spec):
+    """verify_sign_laws gives reference_verify_sign_laws's report without
+    elapsed_ms; returns it."""
+    got = verify_sign_laws(spec).to_obj()
+    del got["elapsed_ms"]
+    want = reference_verify_sign_laws(spec).to_obj()
+    del want["elapsed_ms"]
+    assert got == want
+    return got
 
 
 def recording(module):
@@ -186,6 +225,29 @@ def cartan_cases(draw):
 
     # a negative bound checks nothing and queries nothing
     return ModuleSpec(algebra, action), draw(st.integers(-2, 8)), draw(st.integers(-2, 4))
+
+
+@st.composite
+def sign_specs(draw):
+    """A JoinAlgebraSpec with p in {2, 3, 5}, dim_g <= 2 and degree rule
+    i -> a*i + b for a in {1, 2}, b in {0, 1}, or no table at all. Keys
+    are diagonal or not; an entry is empty, a few drawn terms, or those
+    plus a result index repeated so that its coefficients cancel mod p."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    fam = GeneratorFamily("x", draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1])))
+    dim_g = draw(st.integers(0, 2))
+    if draw(st.integers(0, 9)) == 0:
+        return JoinAlgebraSpec(p, dim_g, fam, None)
+    pairs = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10))
+    terms = st.tuples(st.integers(-p, 2 * p), st.integers(0, 12))
+    table = {}
+    for u, v in pairs:
+        entry = draw(st.lists(terms, max_size=3))
+        if draw(st.booleans()):
+            idx, c = draw(st.integers(0, 12)), draw(st.integers(1, p - 1))
+            entry += [(c, idx), (p - c, idx)]
+        table[(min(u, v), max(u, v))] = entry
+    return JoinAlgebraSpec(p, dim_g, fam, table)
 
 
 def odd_relations():
@@ -371,6 +433,38 @@ class TestVerifySignLaws:
         report = verify_sign_laws(spec)
         assert report.passed
         assert report.checked == 2
+
+    def test_failure_strings(self):
+        # p = 3, dim_g = 0, degree rule i: the diagonal exponent i*i + 1 is
+        # odd for even i, so those entries must vanish. (2, 2) does, mod 3.
+        spec = JoinAlgebraSpec(3, 0, GeneratorFamily("x", 1, 0), {
+            (0, 0): [(1, 1)],
+            (2, 2): [(1, 5), (1, 5), (1, 5)],
+            (4, 4): [(1, 9), (1, 9)],
+        })
+        obj = verify_sign_laws(spec).to_obj()
+        del obj["elapsed_ms"]
+        forced = "forced-zero diagonal entry is nonzero"
+        assert obj == {"checked": 3, "failures": [
+            {"description": forced, "inputs": {"a": 0, "b": 0, "sign_exponent": 1},
+             "lhs": "x_1", "rhs": "2*(x_1)"},
+            {"description": forced, "inputs": {"a": 4, "b": 4, "sign_exponent": 17},
+             "lhs": "2*x_9", "rhs": "2*(2*x_9)"},
+        ]}
+
+    @given(sign_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_random_specs(self, spec):
+        assert_same_signs(spec)
+
+    def test_matches_reference_on_solver_tables(self):
+        # the tables solve --check builds: the zero table and each basis vector
+        result = solve_product_table(s1_module(), 24)
+        for vec in [{}] + result.basis:
+            assert assert_same_signs(s1_algebra(result.table_for(vec)))["failures"] == []
+
+    def test_matches_reference_on_odd_table(self):
+        assert assert_same_signs(odd_module().algebra)["failures"]
 
 
 class TestReports:
