@@ -111,12 +111,15 @@ class ModuleSpec:
     that raises, its first error.
 
     The arithmetic runs on plain {index: coeff} dicts in private helpers:
-    _apply_op_terms, _apply_word_terms, _apply_sum_terms and _cartan_terms.
-    act, apply_op, apply_word, apply_sum and cartan_expand are thin
-    wrappers over them that check that their elements live over this
-    module and build a GradedElement for their result. The
-    verification sweeps call the helpers directly, so a sweep builds
-    GradedElements only inside the memo and to render a failure.
+    _apply_op_terms, _apply_word_terms, _apply_sum_terms, _apply_pairs_terms
+    and _cartan_terms. act, apply_op, apply_word, apply_sum and
+    cartan_expand are thin wrappers over the others that check that their
+    elements live over this module and build a GradedElement for their
+    result. The verification sweeps call the helpers directly, so a sweep
+    builds GradedElements only inside the memo and to render a failure.
+    verify_adem calls only _apply_pairs_terms, which applies a sum of
+    two-op words to one generator and queries the cells that
+    _apply_word_terms would, in the same order.
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
@@ -223,6 +226,33 @@ class ModuleSpec:
             for idx, v in self._apply_word_terms(indices, terms).items():
                 acc[idx] = acc.get(idx, 0) + c * v
         p = self.p
+        return {idx: v % p for idx, v in acc.items() if v % p}
+
+    def _apply_pairs_terms(
+        self, words: Iterable[tuple[int, int, int]], gen_index: int
+    ) -> dict[int, int]:
+        """sum c * Q_a(Q_b(x_gen)) over the (a, b, c) triples, reduced mod p.
+
+        Q_b(x_gen) is its memo entry as it stands: reduced, nonzero, with
+        distinct indices. So each word queries the cells of
+        _apply_word_terms((a, b), {gen: 1}), in the same order.
+        """
+        memo = self._memo
+        acc: dict[int, int] = {}
+        for a, b, c in words:
+            inner = memo.get((b, gen_index))
+            if inner is None:
+                inner = self._act_terms(b, gen_index)
+            for idx, v in inner:
+                outer = memo.get((a, idx))
+                if outer is None:
+                    outer = self._act_terms(a, idx)
+                cv = c * v
+                for idx2, v2 in outer:
+                    acc[idx2] = acc.get(idx2, 0) + cv * v2
+        if not acc:
+            return acc
+        p = self.algebra.p
         return {idx: v % p for idx, v in acc.items() if v % p}
 
     def _cartan_terms(

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success (verifications clean), 1 verification failures
 found, 2 usage error, 3 data error (any ValueError the data raises:
-bad or too deeply nested files, undefined products, out-of-range action
-queries or generator indices, a degree rule the solver cannot use, a
-relation override that expands a pair into itself, and a rewrite that
-runs out of its step budget, which only a cyclic relation override
-causes).
+bad or too deeply nested files, table terms that break the degree law,
+undefined products, out-of-range action queries or generator indices, a
+degree rule the solver cannot use, a relation override that expands a
+pair into itself, and a rewrite that runs out of its step budget, which
+only a cyclic relation override causes). Every usage or data error is
+one line on stderr.
 
 Words are comma-separated unsigned decimals; the leftmost index is
 applied last, so --word 2,0 means apply Q_0 first and Q_2 to the result.
@@ -43,6 +44,14 @@ from .verify import verify_adem, verify_cartan, verify_sign_laws
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, subparsers included, that reports a usage error
+    in the one line main writes for its own."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {_one_line(message)}\n")
 
 
 def _use_color() -> bool:
@@ -248,7 +257,7 @@ def cmd_solve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowerq",
         description=(
             "Lower-indexed operations on classifying-space homology: compute "

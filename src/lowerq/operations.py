@@ -240,19 +240,28 @@ def _binom_support(n_expr: AffineExpr, k_expr: AffineExpr) -> tuple[int, int]:
 
 
 def builtin_pair_terms(p: int, r: int, s: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """Shipped expansion of the non-admissible pair (r, s); p = 2 only."""
+    """Shipped expansion of the non-admissible pair (r, s); p = 2 only.
+
+    The terms C(w - s - 1, 2w - r - s) Q_{r + 2s - 2w} Q_w for
+    ceil((r + s) / 2) <= w <= r - 1, where the binomial can be nonzero, up
+    to the first w whose outer index is negative; sorted by (outer, inner).
+    """
     if p != 2:
         raise RelationDataError(
             f"no built-in relation family for p = {p}; supply an override table"
         )
     if r <= s:
         raise ValueError(f"pair ({r}, {s}) is admissible and has no relation")
-    term = RelationTerm(
-        coeff=(AffineExpr(-s - 1, 1), AffineExpr(-r - s, 2)),
-        outer=AffineExpr(r + 2 * s, -2),
-        inner=AffineExpr(0, 1),
-    )
-    return tuple(sorted(term.expand(p), key=lambda t: t[1]))
+    terms = []
+    for w in range((r + s + 1) // 2, r):
+        outer = r + 2 * s - 2 * w
+        if outer < 0:
+            break
+        c = lucas_binom(w - s - 1, 2 * w - r - s, 2)
+        if c:
+            terms.append((c, (outer, w)))
+    # outer falls as w rises
+    return tuple(reversed(terms))
 
 
 class RelationTable:
@@ -336,6 +345,26 @@ def rewrite_sum(
     for word, c in s.terms.items():
         key = tuple(-i for i in word.indices)
         pending[key] = (pending.get(key, 0) + c) % p
+    word = OperationWord._trusted
+    return OperationSum._trusted(
+        p,
+        {
+            word(tuple(-i for i in neg), p): c % p
+            for neg, c in _rewrite_negated(pending, relations, p, budget).items()
+            if c % p
+        },
+    )
+
+
+def _rewrite_negated(
+    pending: dict[tuple[int, ...], int], relations: RelationTable, p: int, budget: int
+) -> dict[tuple[int, ...], int]:
+    """The rewriting loop of rewrite_sum on negated index tuples.
+
+    pending maps each negated word to its coefficient and is consumed. The
+    normal form comes back as negated admissible words with coefficients
+    that the caller reduces mod p: a word reached twice may sum to 0.
+    """
     heap = list(pending)
     heapify(heap)
     done: dict[tuple[int, ...], int] = {}
@@ -368,8 +397,4 @@ def rewrite_sum(
                 heappush(heap, new)
                 old = 0
             pending[new] = (old + c * coeff) % p
-    word = OperationWord._trusted
-    return OperationSum._trusted(
-        p,
-        {word(tuple(-i for i in neg), p): c % p for neg, c in done.items() if c % p},
-    )
+    return done

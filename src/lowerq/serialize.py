@@ -84,9 +84,16 @@ def algebra_from_obj(obj) -> JoinAlgebraSpec:
             terms = _require(row, "terms", list, "product table entry")
             table[(a, b)] = _terms_from_obj(terms, "product term")
     try:
-        return JoinAlgebraSpec(p, dim_g, family, table)
+        spec = JoinAlgebraSpec(p, dim_g, family, table)
     except ValueError as e:
         raise SchemaError(f"algebra spec: {e}") from e
+    bad = spec.degree_law_violations()
+    if bad:
+        a, b, idx = bad[0]
+        raise SchemaError(
+            f"algebra spec: product table entry ({a}, {b}) -> index {idx} breaks the degree law"
+        )
+    return spec
 
 
 def module_to_obj(m: ModuleSpec) -> dict:

@@ -9,12 +9,15 @@ Reports are deterministic for fixed inputs (fixed iteration order, no
 sampling); only the elapsed-time field varies between runs.
 
 Every sweep runs on the integer kernel: each side of a check is a
-reduced {index: coeff} dict from the private helpers that apply_word,
-apply_sum, apply_op, cartan_expand and join_product wrap, so both paths
-compute the same thing. verify_sign_laws compares x_a * x_b with the
-signed x_b * x_a the same way. A GradedElement is built only to render
-a failure. verify_adem queries the same action cells, in the same
-order, as the wrapper calls would, so the first error raised is the same.
+reduced {index: coeff} dict from the private helpers of ModuleSpec and
+JoinAlgebraSpec, so a GradedElement is built only to render a failure.
+verify_cartan uses the helpers that apply_op, cartan_expand and
+join_product wrap; verify_sign_laws compares x_a * x_b with the signed
+x_b * x_a the same way. verify_adem rewrites each pair with the loop
+that rewrite_sum wraps, on index tuples, and applies both sides with
+ModuleSpec's pair helper, which reads the action memo inline. It queries
+the same action cells, in the same order, as apply_word and apply_sum
+would, so the first error raised is the same.
 verify_cartan checks each generator pair (a, b) for every n in one pass,
 as the solver assembles its pairs: it gives the report of the loop over
 (n, a, b) and, when nothing raises, queries the same set of action cells.
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .actions import ModuleSpec
 from .algebra import GradedElement, JoinAlgebraSpec, ProductEntry, sign_exponent
-from .operations import OperationWord, RelationTable, adem_rewrite
+from .operations import DEFAULT_REWRITE_BUDGET, RelationTable, _rewrite_negated
 
 
 @dataclass
@@ -104,24 +107,29 @@ def verify_adem(
     non-admissible pair (r, s) with r, s <= max_index on every generator
     index <= max_gen."""
     t0 = time.perf_counter()
+    p = m.p
     if relations is None:
-        relations = RelationTable(m.p)
+        relations = RelationTable(p)
     checked = 0
     failures: list[Failure] = []
-    # {g: 1} for x_0 .. x_max_gen, each checked where the first
-    # non-admissible pair first needs it.
-    gens: list[dict[int, int]] = []
+    # x_0 .. x_max_gen, each checked where the first non-admissible pair
+    # first needs it
+    reached = 0
+    apply_pairs = m._apply_pairs_terms
     for r in range(max_index + 1):
         for s in range(r):
-            word = OperationWord((r, s), m.p)
-            rewritten = [(w.indices, c) for w, c in adem_rewrite(word, relations).sorted_terms()]
+            word = ((r, s, 1),)
+            # every expansion replaces a pair by pairs, so the normal form
+            # of Q_r Q_s is a sum of pairs, sorted as sorted_terms() sorts it
+            normal = _rewrite_negated({(-r, -s): 1}, relations, p, DEFAULT_REWRITE_BUDGET)
+            rewritten = sorted((-a, -b, c % p) for (a, b), c in normal.items() if c % p)
             for g in range(max_gen + 1):
                 checked += 1
-                if g == len(gens):
-                    gens.append({m.family.check_index(g): 1})
-                x = gens[g]
-                lhs = m._apply_word_terms(word.indices, x)
-                rhs = m._apply_sum_terms(rewritten, x)
+                if g == reached:
+                    m.family.check_index(g)
+                    reached += 1
+                lhs = apply_pairs(word, g)
+                rhs = apply_pairs(rewritten, g)
                 if lhs != rhs:
                     failures.append(
                         _mismatch(m, "adem relation mismatch", {"r": r, "s": s, "gen": g}, lhs, rhs)

@@ -16,11 +16,13 @@ S1_SPEC_NO_TABLE = {
     "generator": {"name": "x", "degree_a": 2, "degree_b": 0},
 }
 
+# x_0 * x_0 = x_1 obeys the degree law (0 + 0 + dim_g + 1 = 1), but its
+# sign exponent 0 * 0 + dim_g + 1 is odd, so the entry must vanish
 VIOLATING_SIGNS_SPEC = {
     "p": 3,
     "dim_g": 0,
-    "generator": {"name": "pt", "degree_a": 0, "degree_b": 0},
-    "product_table": [{"a": 0, "b": 0, "terms": [[1, 0]]}],
+    "generator": {"name": "x", "degree_a": 1, "degree_b": 0},
+    "product_table": [{"a": 0, "b": 0, "terms": [[1, 1]]}],
 }
 
 
@@ -124,6 +126,27 @@ class TestTable:
         assert exc.value.code == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--module", "s1_p2", "--max-degree", "abc"],
+         "argument --max-degree: invalid int value: 'abc'"),
+        (["verify", "adem", "--module", "s1_p2", "--max-index", "3"],
+         "the following arguments are required: --max-gen"),
+    ])
+    def test_argparse_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--max-degree" in capsys.readouterr().out
+
+
 class TestVerifyCommands:
     def test_adem_passes(self, capsys):
         code, out, _ = run(
@@ -209,6 +232,23 @@ class TestVerifyCommands:
         code, out, _ = run(capsys, "verify", "signs", "--spec", str(path))
         assert code == 1
         assert "forced-zero diagonal" in out
+
+    def test_product_table_breaking_the_degree_law_is_data_error(self, capsys, tmp_path):
+        # x_0 * x_0 lies in degree 0 + 0 + dim_g + 1 = 2, the degree of x_1, not x_5
+        spec = dict(S1_SPEC_NO_TABLE, product_table=[{"a": 0, "b": 0, "terms": [[1, 5]]}])
+        message = (
+            "data error: algebra spec: product table entry (0, 0) -> index 5 "
+            "breaks the degree law\n"
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(capsys, "verify", "signs", "--spec", str(path)) == (3, "", message)
+        path = tmp_path / "mod.json"
+        path.write_text(json.dumps({"algebra": spec, "action": "s1_p2"}))
+        code, out, err = run(
+            capsys, "verify", "cartan", "--module", str(path), "--max-n", "4", "--max-gen", "1",
+        )
+        assert (code, out, err) == (3, "", message)
 
     def test_signs_clean(self, capsys, tmp_path):
         spec = dict(VIOLATING_SIGNS_SPEC, product_table=[{"a": 0, "b": 0, "terms": []}])

@@ -287,14 +287,17 @@ class TestRelationOverrides:
         assert table.terms_for(2, 0) == ((1, (0, 1)),)
 
     def test_parametric_override_matches_builtin(self):
-        r, s = 9, 4
-        term = RelationTerm(
-            coeff=(AffineExpr(-s - 1, 1), AffineExpr(-r - s, 2)),
-            outer=AffineExpr(r + 2 * s, -2),
-            inner=AffineExpr(0, 1),
-        )
-        table = RelationTable(2, {(r, s): (term,)})
-        assert table.terms_for(r, s) == builtin_pair_terms(2, r, s)
+        # the shipped family, computed on ints, against the same family
+        # written as one parametric term, for every pair up to 64
+        for r in range(65):
+            for s in range(r):
+                term = RelationTerm(
+                    coeff=(AffineExpr(-s - 1, 1), AffineExpr(-r - s, 2)),
+                    outer=AffineExpr(r + 2 * s, -2),
+                    inner=AffineExpr(0, 1),
+                )
+                table = RelationTable(2, {(r, s): (term,)})
+                assert table.terms_for(r, s) == builtin_pair_terms(2, r, s), (r, s)
 
     def test_unbounded_summation_rejected(self):
         term = RelationTerm(coeff=1, outer=AffineExpr(0, 1), inner=AffineExpr(0))

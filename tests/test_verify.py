@@ -250,6 +250,46 @@ def sign_specs(draw):
     return JoinAlgebraSpec(p, dim_g, fam, table)
 
 
+@st.composite
+def adem_cases(draw):
+    """(module, max_index, max_gen, relations, fail_fast) for verify_adem:
+    the circle module with up to three cells flipped, or odd_module(),
+    sometimes with two terms in each value, under a drawn p = 3 override
+    table. The table leaves about one pair in ten out, and Q_5 lies past
+    the action's rectangle, so some sweeps raise. Every non-admissible
+    pair an override yields is smaller than the pair it expands, so each
+    rewrite terminates."""
+    fail_fast = draw(st.booleans())
+    if draw(st.booleans()):
+        m = s1_module()
+        for j, g in sorted(draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 20)), max_size=3))):
+            m = flip_coefficient(m, 2 * j, g)
+        return m, draw(st.integers(0, 12)), draw(st.integers(0, 6)), None, fail_fast
+    terms = st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 4), st.integers(0, 4)), max_size=3)
+    overrides = {}
+    for r in range(1, 6):
+        for s in range(r):
+            if draw(st.integers(0, 9)):
+                overrides[(r, s)] = [
+                    RelationTerm(c, AffineExpr(outer), AffineExpr(inner))
+                    for c, outer, inner in draw(terms)
+                    if outer <= inner or (outer, inner) < (r, s)
+                ]
+    m = odd_module()
+    if draw(st.booleans()):
+        # each value gains a second term one index below, so that the order
+        # in which a sweep reads the terms of a value shows in its cells
+        base = m.act
+
+        def action(op, g):
+            terms = base(op, g).terms
+            return GradedElement(E, 3, [(i - 1, 2 * c) for i, c in terms.items()] + list(terms.items()))
+
+        m = ModuleSpec(m.algebra, action)
+    relations = RelationTable(3, overrides)
+    return m, draw(st.integers(0, 5)), draw(st.integers(0, 4)), relations, fail_fast
+
+
 def odd_relations():
     """An override for every r > s <= 4: Q_r Q_s -> Q_s Q_r, plus 2 Q_0 Q_r
     when r + s is odd, plus Q_{r-1} Q_s (rewritten again) when r - 1 > s."""
@@ -375,6 +415,15 @@ class TestParityWithWrapperSweeps:
             )
             assert report["failures"]
         assert any("2*e_" in f["lhs"] + f["rhs"] for f in report["failures"])
+
+    @given(adem_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_adem_matches_reference_on_random_modules(self, case):
+        m, max_index, max_gen, relations, fail_fast = case
+        self.assert_same(
+            verify_adem, reference_verify_adem, m, max_index, max_gen,
+            relations=relations, fail_fast=fail_fast,
+        )
 
     @pytest.mark.parametrize("kind, failures", [("ones", 0), ("binomial", 121)])
     def test_cartan_candidate_tables(self, kind, failures):
