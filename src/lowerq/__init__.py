@@ -12,7 +12,6 @@ from .algebra import (
 from .actions import (
     ActionTable,
     ModuleSpec,
-    builtin_module,
     flip_coefficient,
     s1_action,
     s1_algebra,
@@ -47,7 +46,6 @@ __all__ = [
     "VerificationReport",
     "adem_rewrite",
     "binom_mod_p",
-    "builtin_module",
     "commutativity_sign",
     "flip_coefficient",
     "is_admissible",

@@ -111,15 +111,15 @@ class ModuleSpec:
     that raises, its first error.
 
     The arithmetic runs on plain {index: coeff} dicts in private helpers:
-    _apply_op_terms, _apply_word_terms, _apply_sum_terms, _apply_pairs_terms
-    and _cartan_terms. act, apply_op, apply_word, apply_sum and
-    cartan_expand are thin wrappers over the others that check that their
-    elements live over this module and build a GradedElement for their
-    result. The verification sweeps call the helpers directly, so a sweep
-    builds GradedElements only inside the memo and to render a failure.
-    verify_adem calls only _apply_pairs_terms, which applies a sum of
-    two-op words to one generator and queries the cells that
-    _apply_word_terms would, in the same order.
+    _apply_op_terms, _apply_sum_terms, _apply_pairs_terms and
+    _cartan_terms. act, apply_op, apply_word (a one-word sum), apply_sum
+    and cartan_expand are thin wrappers over the others that check that
+    their elements live over this module and build a GradedElement for
+    their result. The verification sweeps call the helpers directly, so a
+    sweep builds GradedElements only inside the memo and to render a
+    failure. verify_adem calls only _apply_pairs_terms, which applies a
+    sum of two-op words to one generator and queries the cells that
+    _apply_sum_terms would, in the same order.
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
@@ -207,23 +207,19 @@ class ModuleSpec:
         p = self.algebra.p
         return {idx: c % p for idx, c in acc.items() if c % p}
 
-    def _apply_word_terms(
-        self, indices: Sequence[int], terms: Mapping[int, int]
-    ) -> Mapping[int, int]:
-        """Apply a word right to left, stopping once the result is zero."""
-        for i in reversed(indices):
-            if not terms:
-                break
-            terms = self._apply_op_terms(i, terms)
-        return terms
-
     def _apply_sum_terms(
         self, words: Iterable[tuple[Sequence[int], int]], terms: Mapping[int, int]
     ) -> dict[int, int]:
-        """sum c * w(terms) over the (indices, c) pairs, reduced mod p."""
+        """sum c * w(terms) over the (indices, c) pairs, reduced mod p. Each
+        word applies right to left and stops once its result is zero."""
         acc: dict[int, int] = {}
         for indices, c in words:
-            for idx, v in self._apply_word_terms(indices, terms).items():
+            out = terms
+            for i in reversed(indices):
+                if not out:
+                    break
+                out = self._apply_op_terms(i, out)
+            for idx, v in out.items():
                 acc[idx] = acc.get(idx, 0) + c * v
         p = self.p
         return {idx: v % p for idx, v in acc.items() if v % p}
@@ -234,8 +230,8 @@ class ModuleSpec:
         """sum c * Q_a(Q_b(x_gen)) over the (a, b, c) triples, reduced mod p.
 
         Q_b(x_gen) is its memo entry as it stands: reduced, nonzero, with
-        distinct indices. So each word queries the cells of
-        _apply_word_terms((a, b), {gen: 1}), in the same order.
+        distinct indices. So each word queries the cells that
+        _apply_sum_terms queries for (a, b) on x_gen, in the same order.
         """
         memo = self._memo
         acc: dict[int, int] = {}
@@ -286,10 +282,10 @@ class ModuleSpec:
         return GradedElement(self.family, self.p, self._apply_op_terms(op_index, x.terms))
 
     def apply_word(self, w: OperationWord | Sequence[int], x: GradedElement) -> GradedElement:
-        """Apply a word right to left, extended linearly."""
+        """Apply a word right to left, extended linearly: a one-word sum."""
         indices = w.indices if isinstance(w, OperationWord) else tuple(w)
         self._check_element(x)
-        return GradedElement(self.family, self.p, self._apply_word_terms(indices, x.terms))
+        return GradedElement(self.family, self.p, self._apply_sum_terms(((indices, 1),), x.terms))
 
     def apply_sum(self, s: OperationSum, x: GradedElement) -> GradedElement:
         """Coefficient-weighted sum of apply_word over the terms of s."""
@@ -341,14 +337,6 @@ def s1_module(product_table=None) -> ModuleSpec:
 
 
 BUILTIN_MODULES: dict[str, Callable[..., ModuleSpec]] = {"s1_p2": s1_module}
-
-
-def builtin_module(name: str, product_table=None) -> ModuleSpec:
-    try:
-        factory = BUILTIN_MODULES[name]
-    except KeyError:
-        raise ValueError(f"unknown builtin module {name!r}") from None
-    return factory(product_table)
 
 
 def flip_coefficient(module: ModuleSpec, op_index: int, gen_index: int) -> ModuleSpec:

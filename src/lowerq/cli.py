@@ -26,7 +26,6 @@ from .actions import (
     BUILTIN_MODULES,
     CANDIDATE_TABLE_KINDS,
     ModuleSpec,
-    builtin_module,
     s1_candidate_table,
 )
 from .algebra import JoinAlgebraSpec
@@ -87,7 +86,7 @@ def _resolve_module(name: str, table_kind: str | None = None, table_size: int = 
                 file=sys.stderr,
             )
         table = s1_candidate_table(table_kind, table_size) if table_kind else None
-        return builtin_module(name, table)
+        return BUILTIN_MODULES[name](table)
     if not os.path.exists(name):
         raise UsageError(f"unknown module {name!r}: not a builtin and not a file")
     if table_kind:

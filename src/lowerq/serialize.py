@@ -148,13 +148,9 @@ def module_from_obj(obj) -> ModuleSpec:
 
 
 def _expr_from_obj(obj, where: str) -> AffineExpr:
-    if isinstance(obj, int) and not isinstance(obj, bool):
+    if _is_int(obj):
         return AffineExpr(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
-    ):
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_int(v) for v in obj):
         return AffineExpr(obj[0], obj[1])
     raise SchemaError(f"{where}: expression must be an int or [const, slope]")
 
@@ -189,7 +185,7 @@ def relation_overrides_from_obj(obj) -> dict[tuple[int, int], tuple[RelationTerm
                     _expr_from_obj(coeff_obj[1], "binom n"),
                     _expr_from_obj(coeff_obj[2], "binom k"),
                 )
-            elif isinstance(coeff_obj, int) and not isinstance(coeff_obj, bool):
+            elif _is_int(coeff_obj):
                 coeff = coeff_obj
             else:
                 raise SchemaError('relation coefficient must be an int or ["binom", n, k]')

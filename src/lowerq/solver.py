@@ -95,12 +95,12 @@ def nullspace_basis(
 
 @dataclass
 class LinearSystem:
-    """The homogeneous system A x = 0 over F_p, one unknown per slot. Each
-    row is a tuple of (col, coeff) pairs, sorted by col, holding only the
-    nonzero coefficients reduced mod p; the rows stay sparse because the
-    Cartan systems are about 1% nonzero."""
+    """The homogeneous system A x = 0 over F_p, one unknown per column
+    (SolverResult.slots names the columns in order). Each row is a tuple
+    of (col, coeff) pairs, sorted by col, holding only the nonzero
+    coefficients reduced mod p; the rows stay sparse because the Cartan
+    systems are about 1% nonzero."""
 
-    slots: list[Slot]
     rows: list[Row]
     p: int
 
@@ -118,7 +118,6 @@ class SolverResult:
     equations: int
     deferred: int
     rank: int
-    pivot_slots: list[Slot]
     free_slots: list[Slot]
     basis: list[dict[Slot, int]]
     cartan_rectangle: tuple[int, int] | None
@@ -239,21 +238,20 @@ def _pair_rows(
                         sgn = 1 if u <= v else spec.sign(fam.degree(u), fam.degree(v))
                         hit = pairs[(u, v)] = (target, sgn, cols.get(slot))
                     target, sgn, col = hit
-                    coeff = -beta * gamma * sgn % p
-                    if target is None or not coeff:
-                        continue  # target None: forced zero by the degree law
+                    # beta, gamma and sgn are nonzero mod p, so every term counts
+                    if target is None:
+                        continue  # forced zero by the degree law
                     if col is None:
                         deferred.add(n)
                         continue
                     row = acc.setdefault(target, {})
-                    row[col] = (row.get(col, 0) + coeff) % p
-                    if not row[col]:
-                        del row[col]
-    return deferred, [
-        tuple(sorted(row.items()))
+                    row[col] = row.get(col, 0) - beta * gamma * sgn
+    emitted = (
+        tuple(sorted((col, c % p) for col, c in row.items() if c % p))
         for n, acc in sorted(accs.items()) if n not in deferred
-        for _, row in sorted(acc.items()) if row
-    ]
+        for _, row in sorted(acc.items())
+    )
+    return deferred, [row for row in emitted if row]
 
 
 def _cartan_rectangle(first_deferred: dict[Slot, int], max_degree: int) -> tuple[int, int] | None:
@@ -309,7 +307,7 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
             if a == b and sign_exponent(spec.family.degree(a), spec.family.degree(b), spec.dim_g) % 2:
                 rows.append(((cols[(a, b)], 1),))
 
-    system = LinearSystem(slots=slots, rows=rows, p=p)
+    system = LinearSystem(rows=rows, p=p)
     rref, pivots = rref_mod_p(rows, p)
     basis_vecs = nullspace_basis(rref, pivots, len(slots), p)
     pivot_set = set(pivots)
@@ -321,7 +319,6 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         equations=len(rows),
         deferred=deferred,
         rank=len(pivots),
-        pivot_slots=[slots[c] for c in pivots],
         free_slots=[slots[c] for c in range(len(slots)) if c not in pivot_set],
         basis=[{slots[c]: v for c, v in vec.items()} for vec in basis_vecs],
         cartan_rectangle=_cartan_rectangle(first_deferred, max_degree),

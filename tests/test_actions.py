@@ -11,7 +11,6 @@ from lowerq import (
     ModuleSpec,
     OperationSum,
     OperationWord,
-    builtin_module,
     flip_coefficient,
     op_degree,
     s1_action,
@@ -273,11 +272,6 @@ class TestActionTable:
 
 
 class TestModulePlumbing:
-    def test_builtin_registry(self):
-        assert builtin_module("s1_p2").p == 2
-        with pytest.raises(ValueError):
-            builtin_module("nope")
-
     def test_builtin_requires_matching_algebra(self):
         wrong = JoinAlgebraSpec(2, 0, S1_FAMILY)
         with pytest.raises(ValueError):

@@ -513,13 +513,44 @@ word = st.lists(st.integers(0, 6), max_size=3).map(lambda ix: ",".join(map(str, 
 
 
 @st.composite
+def lawful_algebra(draw):
+    """An algebra spec whose table terms obey the degree law, so that it
+    parses and its sign law is checked: at odd p, a nonzero diagonal entry
+    with odd sign exponent breaks that law."""
+    p, dim_g = draw(st.sampled_from([3, 5, 2])), draw(st.integers(0, 2))
+    degree_a, degree_b = draw(st.sampled_from([1, 3, 2])), draw(st.integers(0, 2))
+    table = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.integers(0, 4))
+        b = draw(st.integers(a, 6)) if draw(st.booleans()) else a
+        q, r = divmod(degree_a * (a + b) + degree_b + dim_g + 1, degree_a)
+        coeffs = [] if r else draw(st.lists(st.sampled_from([1, 2, -1, 4]), min_size=1, max_size=2))
+        table[(a, b)] = {"a": a, "b": b, "terms": [[c, q] for c in coeffs]}
+    generator = {"name": "x", "degree_a": degree_a, "degree_b": degree_b}
+    return {"p": p, "dim_g": dim_g, "generator": generator, "product_table": list(table.values())}
+
+
+@st.composite
+def lawful_circle_module(draw, max_pair_sum):
+    """The circle module with a 0/1 product table that obeys the degree law
+    on every pair a <= b with a + b <= max_pair_sum, as the candidate tables
+    of verify cartan --table cover it; its Cartan sweep runs to a verdict."""
+    table = [
+        {"a": a, "b": b, "terms": [[draw(st.integers(0, 1)), a + b + 1]]}
+        for a in range(max_pair_sum + 1) for b in range(a, max_pair_sum - a + 1)
+    ]
+    return {"algebra": dict(S1_SPEC_NO_TABLE, product_table=table), "action": "s1_p2"}
+
+
+@st.composite
 def command_lines(draw):
     """argv, with "{doc}" and "{relations}" standing for the files of the
     drawn documents, and the documents by name."""
     fmt = ("--format", draw(st.sampled_from(["text", "json"])))
-    kind = draw(st.sampled_from(["signs", "compute", "adem", "solve"]))
+    kind = draw(st.sampled_from(["signs", "compute", "adem", "cartan", "solve"]))
     if kind == "signs":
-        return ["verify", "signs", "--spec", "{doc}", *fmt], {"doc": draw(algebra)}
+        doc = draw(lawful_algebra() if draw(st.booleans()) else algebra)
+        return ["verify", "signs", "--spec", "{doc}", *fmt], {"doc": doc}
     if kind == "compute":
         argv = ["compute", "--module", "{doc}", "--word", draw(word),
                 "--gen", str(draw(st.integers(0, 6))), *fmt]
@@ -532,6 +563,16 @@ def command_lines(draw):
                 "--max-index", str(draw(st.integers(0, 6))),
                 "--max-gen", str(draw(st.integers(0, 4))), "--relations", "{relations}", *fmt]
         return argv, docs
+    if kind == "cartan":
+        max_n, max_gen = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+        bounds = ["--max-n", str(max_n), "--max-gen", str(max_gen), *fmt]
+        source = draw(st.sampled_from(["table", "lawful", "any"]))
+        if source == "table":
+            table = draw(st.sampled_from(["ones", "binomial", "zero"]))
+            return ["verify", "cartan", "--module", "s1_p2", "--table", table, *bounds], {}
+        size = 4 * max_gen + max_n // 2 + 2  # the size of the --table candidates
+        doc = draw(lawful_circle_module(size) if source == "lawful" else module)
+        return ["verify", "cartan", "--module", "{doc}", *bounds], {"doc": doc}
     argv = ["solve", "--module", "{doc}", "--max-degree", str(draw(st.integers(0, 12))), *fmt]
     if draw(st.booleans()):
         argv.append("--check")

@@ -15,6 +15,7 @@ from lowerq import (
     verify_sign_laws,
 )
 from lowerq.algebra import sign_exponent
+from lowerq.errors import UndefinedProductError
 from lowerq.operations import single_op_degree
 from lowerq.solver import _enumerate_pairs, nullspace_basis, rref_mod_p
 
@@ -382,6 +383,41 @@ class TestSolveS1:
                     combo[s] = (combo[s] + values[slot] * v) % 2
             assert combo == values
         assert solutions == 2 ** len(result.basis)
+
+    def test_public_path_oracle_is_the_span_of_the_basis(self):
+        # an oracle independent of assembly and elimination: the GF(2)
+        # assignments under which every instance (n, a, b), n <= 12, holds
+        # through apply_op on join_product against cartan_expand are exactly
+        # the span of the basis. An instance whose expansion mentions a slot
+        # past the degree bound raises, and is skipped: the solver defers it.
+        result = solve_product_table(s1_module(), 12)
+        slots = result.slots
+        assert len(slots) == 12
+
+        def holds(m, n, a, b):
+            x_a, x_b = m.basis_element(a), m.basis_element(b)
+            try:
+                rhs = m.cartan_expand(n, x_a, x_b)
+            except UndefinedProductError:
+                return True
+            return m.apply_op(n, m.algebra.join_product(x_a, x_b)) == rhs
+
+        passing = set()
+        for mask in range(2 ** len(slots)):
+            values = {slot: (mask >> c) & 1 for c, slot in enumerate(slots)}
+            m = s1_module(result.table_for(values))
+            if all(holds(m, n, a, b) for (a, b) in result.targets for n in range(13)):
+                passing.add(mask)
+        span = set()
+        for combo in range(2 ** len(result.basis)):
+            vec = dict.fromkeys(slots, 0)
+            for i, basis_vec in enumerate(result.basis):
+                if (combo >> i) & 1:
+                    for slot, v in basis_vec.items():
+                        vec[slot] ^= v
+            span.add(sum(vec[slot] << c for c, slot in enumerate(slots)))
+        assert len(span) == 2 ** len(result.basis)
+        assert passing == span
 
     def test_slots_in_lexicographic_order(self, result):
         assert result.slots == sorted(result.slots)
