@@ -290,8 +290,8 @@ class ModuleSpec:
     def apply_sum(self, s: OperationSum, x: GradedElement) -> GradedElement:
         """Coefficient-weighted sum of apply_word over the terms of s."""
         self._check_element(x)
-        words = [(word.indices, c) for word, c in s.sorted_terms()]
-        return GradedElement(self.family, self.p, self._apply_sum_terms(words, x.terms))
+        terms = self._apply_sum_terms(sorted(s._terms.items()), x.terms)
+        return GradedElement(self.family, self.p, terms)
 
     def cartan_expand(self, n: int, a: GradedElement, b: GradedElement) -> GradedElement:
         """sum_{i+j=n} Q_i(a) * Q_j(b), the product-side of the Cartan formula."""

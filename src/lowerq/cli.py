@@ -4,10 +4,11 @@ Exit codes: 0 success (verifications clean), 1 verification failures
 found, 2 usage error, 3 data error (any ValueError the data raises:
 bad or too deeply nested files, table terms that break the degree law,
 undefined products, out-of-range action queries or generator indices, a
-degree rule the solver cannot use, a relation override that expands a
-pair into itself, and a rewrite that runs out of its step budget, which
-only a cyclic relation override causes). Every usage or data error is
-one line on stderr.
+degree rule the solver cannot use, relation overrides whose pairs expand
+into one another in a cycle, found when a pair on the cycle is first
+expanded, and a rewrite that runs out of its step budget, which only a
+cycle through the neighbouring indices of a longer word causes). Every
+usage or data error is one line on stderr.
 
 Words are comma-separated unsigned decimals; the leftmost index is
 applied last, so --word 2,0 means apply Q_0 first and Q_2 to the result.

@@ -56,15 +56,6 @@ class OperationWord:
         if any(i < 0 for i in self.indices):
             raise ValueError("operation indices must be nonnegative")
 
-    @classmethod
-    def _trusted(cls, indices: tuple[int, ...], p: int) -> "OperationWord":
-        # For words the rewriter built: a tuple of nonnegative ints over a
-        # checked prime, so __post_init__ would only repeat its checks.
-        w = object.__new__(cls)
-        object.__setattr__(w, "indices", indices)
-        object.__setattr__(w, "p", p)
-        return w
-
     def __len__(self):
         return len(self.indices)
 
@@ -95,58 +86,62 @@ def is_admissible(w: OperationWord) -> bool:
 
 
 class OperationSum:
-    """F_p-linear combination of operation words, in canonical sparse form."""
+    """F_p-linear combination of operation words, in canonical sparse form,
+    kept as {indices: coeff}; reading terms builds the OperationWords."""
 
-    __slots__ = ("p", "terms")
+    __slots__ = ("p", "_terms")
 
     def __init__(self, p: int, terms: Mapping[OperationWord, int] | Iterable = ()):
         check_prime(p)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        canon: dict[OperationWord, int] = {}
+        canon: dict[tuple[int, ...], int] = {}
         for word, c in items:
             if not isinstance(word, OperationWord):
                 word = OperationWord(tuple(word), p)
             if word.p != p:
                 raise ValueError("all words in a sum must share p")
-            c = (canon.get(word, 0) + c) % p
+            idx = word.indices
+            c = (canon.get(idx, 0) + c) % p
             if c:
-                canon[word] = c
+                canon[idx] = c
             else:
-                canon.pop(word, None)
+                canon.pop(idx, None)
         self.p = p
-        self.terms = canon  # treat as read-only
+        self._terms = canon
 
     @classmethod
-    def _trusted(cls, p: int, terms: dict[OperationWord, int]) -> "OperationSum":
-        # For sums the rewriter built: distinct words over p with reduced
-        # nonzero coefficients, already in canonical form.
+    def _trusted(cls, p: int, terms: dict[tuple[int, ...], int]) -> "OperationSum":
+        # For sums the rewriter built: distinct index tuples of nonnegative
+        # ints with reduced nonzero coefficients, already in canonical form.
         out = object.__new__(cls)
         out.p = p
-        out.terms = terms
+        out._terms = terms
         return out
 
     @classmethod
     def from_word(cls, word: OperationWord, coeff: int = 1) -> "OperationSum":
         return cls(word.p, {word: coeff})
 
+    @property
+    def terms(self) -> dict[OperationWord, int]:
+        """{word: coeff}, built afresh on each read."""
+        return {OperationWord(idx, self.p): c for idx, c in self._terms.items()}
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OperationSum)
             and self.p == other.p
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     __hash__ = None
 
-    def sorted_terms(self) -> list[tuple[OperationWord, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].indices)
-
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "<0>"
         parts = []
-        for w, c in self.sorted_terms():
-            body = " ".join(f"Q_{i}" for i in w.indices) or "id"
+        for idx, c in sorted(self._terms.items()):
+            body = " ".join(f"Q_{i}" for i in idx) or "id"
             parts.append(body if c == 1 else f"{c}*{body}")
         return "<" + " + ".join(parts) + f" (p={self.p})>"
 
@@ -284,22 +279,41 @@ class RelationTable:
         if hit is not None:
             return hit
         if key in self.overrides:
-            acc: dict[tuple[int, int], int] = {}
-            for term in self.overrides[key]:
-                for c, pair in term.expand(self.p):
-                    acc[pair] = (acc.get(pair, 0) + c) % self.p
-            if acc.get(key):
-                # Q_r Q_s would be rewritten into itself until the budget ran out
-                raise RelationDataError(
-                    f"relation override for ({r}, {s}) yields ({r}, {s}) again"
-                )
-            expansion = tuple(
-                sorted(((c, pair) for pair, c in acc.items() if c), key=lambda t: t[1])
-            )
+            expansion = self._override_terms(key)
+            self._check_cycle(key, expansion)
         else:
             expansion = builtin_pair_terms(self.p, r, s)
         self._cache[key] = expansion
         return expansion
+
+    def _override_terms(self, key: tuple[int, int]) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """The merged expansion of an override pair, sorted by (outer, inner)."""
+        acc: dict[tuple[int, int], int] = {}
+        for term in self.overrides[key]:
+            for c, pair in term.expand(self.p):
+                acc[pair] = (acc.get(pair, 0) + c) % self.p
+        return tuple(sorted(((c, pair) for pair, c in acc.items() if c), key=lambda t: t[1]))
+
+    def _check_cycle(self, key: tuple[int, int], expansion: tuple) -> None:
+        """Raise if the override pairs reachable from key lead back to it.
+
+        Q_r Q_s would then be rewritten into itself until the budget ran
+        out. Shipped expansions yield only admissible pairs, so only
+        override pairs continue a chain; each is visited once, breadth
+        first, and the error names the pairs of the shortest way back.
+        """
+        seen = {key}
+        queue = [(expansion, ())]
+        for terms, path in queue:  # the queue grows as it is read
+            for _, pair in terms:
+                if pair == key:
+                    through = " through " + ", ".join(map(str, path)) if path else ""
+                    raise RelationDataError(
+                        f"relation override for {key} yields {key} again{through}"
+                    )
+                if pair not in seen and pair in self.overrides and pair[0] > pair[1]:
+                    seen.add(pair)
+                    queue.append((self._override_terms(pair), path + (pair,)))
 
 
 def adem_rewrite(
@@ -334,22 +348,22 @@ def rewrite_sum(
     words are taken up cannot change the result.
 
     budget counts pair expansions. An override table whose expansions can
-    cycle is malformed; on one, whether the budget runs out can depend on
-    which coefficients cancel.
+    cycle is malformed. RelationTable rejects a cycle of override pairs at
+    the first expansion of a pair on it; a cycle that runs through the
+    neighbouring indices of a longer word is left to the budget, and
+    whether the budget runs out can then depend on which coefficients
+    cancel.
     """
     if relations is None:
         relations = RelationTable(s.p)
     p = s.p
     # Words are kept negated, so the heap's smallest key is the largest word.
-    pending: dict[tuple[int, ...], int] = {}
-    for word, c in s.terms.items():
-        key = tuple(-i for i in word.indices)
-        pending[key] = (pending.get(key, 0) + c) % p
-    word = OperationWord._trusted
+    # Negation is injective, so the keys stay distinct and reduced.
+    pending = {tuple(-i for i in idx): c for idx, c in s._terms.items()}
     return OperationSum._trusted(
         p,
         {
-            word(tuple(-i for i in neg), p): c % p
+            tuple(-i for i in neg): c % p
             for neg, c in _rewrite_negated(pending, relations, p, budget).items()
             if c % p
         },

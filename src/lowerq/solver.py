@@ -44,10 +44,13 @@ PairInfo = tuple[int | None, int, int | None]  # target, sign, column of a produ
 def rref_mod_p(rows: list[Row], p: int) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced row-echelon form over F_p of (col, coeff) rows; returns the
     nonzero reduced rows as {col: coeff} dicts and their pivot columns.
-    Each row in turn is reduced by the echelon rows so far and joins them,
-    normalized, under its lowest column; back-reduction runs right to left."""
+    Each distinct row in turn, shortest first and, among rows of one length,
+    highest lowest column first, is reduced by the echelon rows so far and
+    joins them, normalized, under its lowest column; back-reduction runs
+    right to left. The reduced form is unique, so the order changes only
+    how much fill-in the elimination makes."""
     echelon: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in sorted(dict.fromkeys(rows), key=lambda row: (len(row), -row[0][0] if row else 0)):
         r = dict(row)
         while r:
             col = min(r)

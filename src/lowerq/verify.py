@@ -120,7 +120,8 @@ def verify_adem(
         for s in range(r):
             word = ((r, s, 1),)
             # every expansion replaces a pair by pairs, so the normal form
-            # of Q_r Q_s is a sum of pairs, sorted as sorted_terms() sorts it
+            # of Q_r Q_s is a sum of pairs, sorted by indices as apply_sum
+            # sorts the terms of a sum
             normal = _rewrite_negated({(-r, -s): 1}, relations, p, DEFAULT_REWRITE_BUDGET)
             rewritten = sorted((-a, -b, c % p) for (a, b), c in normal.items() if c % p)
             for g in range(max_gen + 1):

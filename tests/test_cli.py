@@ -190,8 +190,9 @@ class TestVerifyCommands:
         assert out == ""
         assert err == "data error: relation override for (2, 0) yields (2, 0) again\n"
 
-    def test_two_cycle_override_exhausts_budget(self, capsys, tmp_path):
-        # Q_3 Q_1 -> Q_5 Q_0 -> Q_3 Q_1 never reaches an admissible word
+    def test_two_cycle_override_is_data_error(self, capsys, tmp_path):
+        # Q_3 Q_1 -> Q_5 Q_0 -> Q_3 Q_1 never reaches an admissible word; the
+        # cycle is found when (3, 1) is first expanded, not by the budget
         path = tmp_path / "cyclic.json"
         path.write_text(json.dumps([
             {"r": 3, "s": 1, "terms": [[1, 5, 0]]},
@@ -203,7 +204,7 @@ class TestVerifyCommands:
         )
         assert code == 3
         assert out == ""
-        assert err == "data error: rewrite budget of 1000000 pair expansions exceeded\n"
+        assert err == "data error: relation override for (3, 1) yields (3, 1) again through (5, 0)\n"
 
     def test_cartan_with_candidate_table(self, capsys):
         code, out, _ = run(

@@ -18,6 +18,15 @@ def w2(*indices):
     return OperationWord(tuple(indices), 2)
 
 
+def term(outer, inner, coeff=1):
+    return RelationTerm(coeff, AffineExpr(outer), AffineExpr(inner))
+
+
+def cycle_message(pair, *through):
+    via = f" through {', '.join(through)}" if through else ""
+    return f"relation override for {pair} yields {pair} again{via}"
+
+
 # --- reference: the smallest-first loop rewrite_sum ran before it expanded
 # words largest first ---
 
@@ -166,6 +175,36 @@ class TestOperationSum:
         with pytest.raises(ValueError):
             OperationSum(2, {OperationWord((1,), 3): 1})
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_dict_keyed_by_words(self, data):
+        # terms given as words or raw index tuples, repeated and cancelling
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        indices = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+        pool = data.draw(st.lists(indices, min_size=1, max_size=4, unique=True))
+        items = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(pool), st.integers(-2 * p, 2 * p), st.booleans()),
+                max_size=10,
+            )
+        )
+        terms = [(OperationWord(idx, p) if as_word else idx, c) for idx, c, as_word in items]
+        want: dict[OperationWord, int] = {}
+        for idx, c, _ in items:
+            word = OperationWord(idx, p)
+            want[word] = (want.get(word, 0) + c) % p
+        want = {w: c for w, c in want.items() if c}
+        s = OperationSum(p, terms)
+        assert s.terms == want
+        assert s == OperationSum(p, want) == OperationSum(p, list(want.items())[::-1])
+        assert (s == OperationSum(p, {})) == (not want)
+        # the words sorted by indices, each as its word's repr shows it
+        parts = [
+            ("" if c == 1 else f"{c}*") + repr(w)[1:].split(" (p=")[0]
+            for w, c in sorted(want.items(), key=lambda t: t[0].indices)
+        ]
+        assert repr(s) == ("<" + " + ".join(parts) + f" (p={p})>" if want else "<0>")
+
 
 class TestBuiltinRelations:
     def test_known_expansions(self):
@@ -234,17 +273,21 @@ class TestAdemRewrite:
             adem_rewrite(w2(24, 12, 6, 3), budget=1)
 
     def test_cyclic_override_exhausts_budget(self):
-        # Q_3 Q_1 -> Q_5 Q_0 -> Q_3 Q_1 never reaches an admissible word
-        table = RelationTable(
-            2,
-            {
-                (3, 1): (RelationTerm(1, AffineExpr(5), AffineExpr(0)),),
-                (5, 0): (RelationTerm(1, AffineExpr(3), AffineExpr(1)),),
-            },
-        )
-        for word in (w2(3, 1), w2(0, 3, 1), w2(5, 0, 7)):
-            with pytest.raises(RewriteBudgetError, match="budget of 100 "):
+        # Q_3 Q_1 -> Q_5 Q_0 -> Q_3 Q_1 never reaches an admissible word:
+        # the cycle of override pairs is rejected at the first expansion
+        table = RelationTable(2, {(3, 1): (term(5, 0),), (5, 0): (term(3, 1),)})
+        for word, pair, via in ((w2(3, 1), "(3, 1)", "(5, 0)"), (w2(5, 0, 7), "(5, 0)", "(3, 1)")):
+            with pytest.raises(RelationDataError) as err:
                 adem_rewrite(word, table, budget=100)
+            assert str(err.value) == cycle_message(pair, via)
+        # Q_2 Q_3 Q_1 -> Q_2 Q_1 Q_1 -> Q_2 Q_3 Q_1 cycles through the
+        # neighbouring index: no pair's overrides lead back to it, so only
+        # the budget stops the rewrite
+        table = RelationTable(2, {(3, 1): (term(1, 1),), (2, 1): (term(2, 3),)})
+        assert table.terms_for(3, 1) == ((1, (1, 1)),)
+        assert table.terms_for(2, 1) == ((1, (2, 3)),)
+        with pytest.raises(RewriteBudgetError, match="budget of 100 "):
+            adem_rewrite(w2(2, 3, 1), table, budget=100)
 
     def test_override_reaching_a_taken_up_admissible_word_again(self):
         # Q_5 Q_0 -> Q_4 Q_5 + Q_2 Q_1 and Q_2 Q_1 -> Q_4 Q_5 at p = 3: the
@@ -329,6 +372,52 @@ class TestRelationOverrides:
         twice = RelationTerm(2, AffineExpr(3), AffineExpr(1))
         table = RelationTable(3, {(3, 1): (loop, other, twice)})
         assert table.terms_for(3, 1) == ((1, (0, 2)),)
+
+    def test_three_cycle_rejected(self):
+        # (4, 2) also yields the admissible Q_0 Q_1, which ends no cycle
+        table = RelationTable(
+            2, {(3, 1): (term(5, 0),), (5, 0): (term(4, 2),), (4, 2): (term(0, 1), term(3, 1))}
+        )
+        for _ in range(2):  # not cached: every lookup raises
+            with pytest.raises(RelationDataError) as err:
+                table.terms_for(3, 1)
+            assert str(err.value) == cycle_message("(3, 1)", "(5, 0)", "(4, 2)")
+        with pytest.raises(RelationDataError) as err:
+            table.terms_for(4, 2)
+        assert str(err.value) == cycle_message("(4, 2)", "(3, 1)", "(5, 0)")
+
+    def test_cycle_reached_inside_a_longer_word(self):
+        # Q_0 Q_4 Q_0 Q_9: the descent (4, 0) leads into the cycle of
+        # (3, 1) and (5, 0), which is rejected when (3, 1) is first expanded
+        table = RelationTable(
+            2, {(4, 0): (term(3, 1),), (3, 1): (term(5, 0),), (5, 0): (term(3, 1),)}
+        )
+        with pytest.raises(RelationDataError) as err:
+            adem_rewrite(w2(0, 4, 0, 9), table)
+        assert str(err.value) == cycle_message("(3, 1)", "(5, 0)")
+        assert table.terms_for(4, 0) == ((1, (3, 1)),)
+
+    def test_chain_of_overrides_ending_admissible_accepted(self):
+        # Q_5 Q_0 -> 2 Q_3 Q_1 + Q_1 Q_2 and Q_3 Q_1 -> Q_0 Q_4 at p = 3
+        table = RelationTable(3, {(5, 0): (term(3, 1, 2), term(1, 2)), (3, 1): (term(0, 4),)})
+        assert table.terms_for(5, 0) == ((1, (1, 2)), (2, (3, 1)))
+        word = OperationWord((5, 0), 3)
+        want = OperationSum(3, [((0, 4), 2), ((1, 2), 1)])
+        assert adem_rewrite(word, table) == want
+        assert reference_rewrite_sum(OperationSum.from_word(word), table) == want
+
+    def test_cycle_off_the_expanded_pair_raises_only_on_the_cycle(self):
+        # (4, 0) leads into the cycle of (3, 1) and (5, 0) but is not on it
+        table = RelationTable(
+            2, {(4, 0): (term(5, 0),), (3, 1): (term(5, 0),), (5, 0): (term(3, 1),)}
+        )
+        assert table.terms_for(4, 0) == ((1, (5, 0)),)
+        with pytest.raises(RelationDataError) as err:
+            adem_rewrite(w2(4, 0), table)
+        assert str(err.value) == cycle_message("(5, 0)", "(3, 1)")
+        with pytest.raises(RelationDataError) as err:
+            table.terms_for(3, 1)
+        assert str(err.value) == cycle_message("(3, 1)", "(5, 0)")
 
     def test_budget_error_is_data_error(self):
         assert issubclass(RewriteBudgetError, RelationDataError)
