@@ -115,11 +115,12 @@ class ModuleSpec:
     _cartan_terms. act, apply_op, apply_word (a one-word sum), apply_sum
     and cartan_expand are thin wrappers over the others that check that
     their elements live over this module and build a GradedElement for
-    their result. The verification sweeps call the helpers directly, so a
-    sweep builds GradedElements only inside the memo and to render a
-    failure. verify_adem calls only _apply_pairs_terms, which applies a
-    sum of two-op words to one generator and queries the cells that
-    _apply_sum_terms would, in the same order.
+    their result. The verification sweeps call the helpers directly and
+    compute each relation once, as a difference that must vanish, so a
+    sweep builds its two sides, and GradedElements beyond the memo, only
+    to render a failure. verify_adem calls only _apply_pairs_terms, which
+    applies a sum of two-op words to one generator and queries the cells
+    that _apply_sum_terms would, in the same order.
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):

@@ -126,6 +126,8 @@ class SolverResult:
     cartan_rectangle: tuple[int, int] | None
     system: LinearSystem = field(repr=False)
     targets: dict[Slot, int | None] = field(repr=False, default_factory=dict)
+    # canonical pairs past the degree bound that assembly met forced to zero
+    forced_zero: list[Slot] = field(repr=False, default_factory=list)
 
     @property
     def no_constraints(self) -> bool:
@@ -133,8 +135,9 @@ class SolverResult:
 
     def table_for(self, assignment: dict[Slot, int]) -> dict[Slot, tuple]:
         """Materialize an assignment as a product table covering every slot
-        within the degree bound (forced-zero slots included as defined zeros)."""
-        table: dict[Slot, tuple] = {}
+        within the degree bound and every forced-zero pair that assembly
+        met past it (forced-zero slots included as defined zeros)."""
+        table: dict[Slot, tuple] = dict.fromkeys(self.forced_zero, ())
         for slot, target in self.targets.items():
             c = assignment.get(slot, 0) % self.p
             if c and target is None:
@@ -327,4 +330,8 @@ def solve_product_table(m: ModuleSpec, max_degree: int) -> SolverResult:
         cartan_rectangle=_cartan_rectangle(first_deferred, max_degree),
         system=system,
         targets=targets,
+        forced_zero=sorted(
+            {(u, v) if u <= v else (v, u) for (u, v), hit in pairs.items() if hit[0] is None}
+            - targets.keys()
+        ),
     )

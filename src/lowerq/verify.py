@@ -1,23 +1,23 @@
 """Exhaustive relation verification over bounded index rectangles.
 
-The headline check compares, for every non-admissible pair (r, s) in a
-rectangle, direct double application of the operations against the
-application of their rewritten normal form. The rectangles are small
+The headline check applies, for every non-admissible pair (r, s) in a
+rectangle, the Adem relation Q_r Q_s minus its rewritten normal form to
+every generator and tests the result for zero. The rectangles are small
 enough to sweep completely, and exhaustiveness is the point: a report
 with an empty failure list certifies the identity on every instance.
 Reports are deterministic for fixed inputs (fixed iteration order, no
 sampling); only the elapsed-time field varies between runs.
 
-Every sweep runs on the integer kernel: each side of a check is a
-reduced {index: coeff} dict from the private helpers of ModuleSpec and
-JoinAlgebraSpec, so a GradedElement is built only to render a failure.
-verify_cartan uses the helpers that apply_op, cartan_expand and
-join_product wrap; verify_sign_laws compares x_a * x_b with the signed
-x_b * x_a the same way. verify_adem rewrites each pair with the loop
-that rewrite_sum wraps, on index tuples, and applies both sides with
-ModuleSpec's pair helper, which reads the action memo inline. It queries
-the same action cells, in the same order, as apply_word and apply_sum
-would, so the first error raised is the same.
+Every sweep runs on the integer kernel of ModuleSpec and JoinAlgebraSpec.
+verify_adem and verify_cartan compute each relation once, as one
+{index: coeff} difference that must vanish, and build its two sides, and
+a GradedElement for each, only to render a failure. verify_sign_laws
+compares x_a * x_b with the signed x_b * x_a, each one table entry.
+verify_adem rewrites each pair with the loop that rewrite_sum wraps, on
+index tuples, and applies the difference with ModuleSpec's pair helper,
+which reads the action memo inline. It queries the same action cells, in
+the same order, as apply_word and then apply_sum would, so the first
+error raised is the same.
 verify_cartan checks each generator pair (a, b) for every n in one pass,
 as the solver assembles its pairs: it gives the report of the loop over
 (n, a, b) and, when nothing raises, queries the same set of action cells.
@@ -103,7 +103,7 @@ def verify_adem(
     relations: RelationTable | None = None,
     fail_fast: bool = False,
 ) -> VerificationReport:
-    """Check direct application against rewritten form for every
+    """Check that Q_r Q_s minus its rewritten form vanishes for every
     non-admissible pair (r, s) with r, s <= max_index on every generator
     index <= max_gen."""
     t0 = time.perf_counter()
@@ -121,17 +121,17 @@ def verify_adem(
             word = ((r, s, 1),)
             # every expansion replaces a pair by pairs, so the normal form
             # of Q_r Q_s is a sum of pairs, sorted by indices as apply_sum
-            # sorts the terms of a sum
+            # sorts the terms of a sum; the relation is Q_r Q_s minus it
             normal = _rewrite_negated({(-r, -s): 1}, relations, p, DEFAULT_REWRITE_BUDGET)
             rewritten = sorted((-a, -b, c % p) for (a, b), c in normal.items() if c % p)
+            difference = [*word, *((a, b, -c) for a, b, c in rewritten)]
             for g in range(max_gen + 1):
                 checked += 1
                 if g == reached:
                     m.family.check_index(g)
                     reached += 1
-                lhs = apply_pairs(word, g)
-                rhs = apply_pairs(rewritten, g)
-                if lhs != rhs:
+                if apply_pairs(difference, g):
+                    lhs, rhs = apply_pairs(word, g), apply_pairs(rewritten, g)
                     failures.append(
                         _mismatch(m, "adem relation mismatch", {"r": r, "s": s, "gen": g}, lhs, rhs)
                     )
@@ -161,11 +161,12 @@ def verify_cartan(m: ModuleSpec, max_n: int, max_gen: int) -> VerificationReport
 def _cartan_failures(m: ModuleSpec, max_n: int, max_gen: int) -> list[Failure]:
     """The failures of verify_cartan, in the order of (n, a, b).
 
-    Each ordered pair (a, b) is checked for every n <= max_n in one pass.
-    The left-hand sides are read from the index of nonzero operations on
-    each generator of the reduced x_a * x_b; the right-hand sides convolve
-    the index entries of a and b. The generator checks, action cells and
-    products are those of the loop over n, a and b, in another order.
+    Each ordered pair (a, b) is checked for every n <= max_n in one pass:
+    one unreduced accumulator per n adds the left-hand side, read from the
+    index of nonzero operations on each generator of the reduced x_a * x_b,
+    and subtracts the convolution of the index entries of a and b. The
+    generator checks, action cells and products are those of the loop over
+    n, a and b, in another order.
     """
     if max_n < 0:
         return []
@@ -176,36 +177,35 @@ def _cartan_failures(m: ModuleSpec, max_n: int, max_gen: int) -> list[Failure]:
     by_n: list[list[Failure]] = [[] for _ in range(max_n + 1)]
     for a, ops_a in enumerate(ops):
         for b, ops_b in enumerate(ops):
-            # n -> unreduced {index: coeff}, for each side
-            lhs: dict[int, dict[int, int]] = {}
-            rhs: dict[int, dict[int, int]] = {}
-            for t, coeff in spec._product_terms({a: 1}, {b: 1}).items():
-                # a product term that cancels mod p queries no action cell
-                if coeff % p:
-                    for n, terms in m._nonzero_ops(t, max_n):
-                        acc = lhs.setdefault(n, {})
-                        for idx, c in terms:
-                            acc[idx] = acc.get(idx, 0) + coeff * c
+            # a product term that cancels mod p queries no action cell
+            ab = {t: c % p for t, c in spec._product_terms({a: 1}, {b: 1}).items() if c % p}
+            diff: dict[int, dict[int, int]] = {}  # n -> unreduced lhs - rhs
+            for t, coeff in ab.items():
+                for n, terms in m._nonzero_ops(t, max_n):
+                    acc = diff.setdefault(n, {})
+                    for idx, c in terms:
+                        acc[idx] = acc.get(idx, 0) + coeff * c
             for i, qa in ops_a:
                 for j, qb in ops_b:
                     n = i + j
                     if n > max_n:
                         break
-                    # _product_terms(Q_i(x_a), Q_j(x_b)), added in place
-                    acc = rhs.setdefault(n, {})
+                    # _product_terms(Q_i(x_a), Q_j(x_b)), subtracted in place
+                    acc = diff.setdefault(n, {})
                     for u, beta in qa:
                         for v, gamma in qb:
                             entry = entries.get((u, v))
                             if entry is None:
                                 entry = entries[(u, v)] = spec.entry(u, v)
                             for coeff, idx in entry:
-                                acc[idx] = acc.get(idx, 0) + beta * gamma * coeff
-            for n in sorted(lhs.keys() | rhs.keys()):
-                left = {idx: c % p for idx, c in lhs.get(n, {}).items() if c % p}
-                right = {idx: c % p for idx, c in rhs.get(n, {}).items() if c % p}
-                if left != right:
+                                acc[idx] = acc.get(idx, 0) - beta * gamma * coeff
+            for n, acc in diff.items():
+                if any(c % p for c in acc.values()):
+                    lhs = m._apply_op_terms(n, ab)  # memo hits only
+                    # rhs = lhs - acc, unreduced; every index of lhs is one of acc's
+                    rhs = {idx: lhs.get(idx, 0) - c for idx, c in acc.items()}
                     by_n[n].append(
-                        _mismatch(m, "cartan formula mismatch", {"n": n, "a": a, "b": b}, left, right)
+                        _mismatch(m, "cartan formula mismatch", {"n": n, "a": a, "b": b}, lhs, rhs)
                     )
     return [f for row in by_n for f in row]
 

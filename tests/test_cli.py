@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lowerq import cli, lucas_binom
 from lowerq.cli import main
 from lowerq.serialize import canonical_json
 
@@ -23,6 +24,18 @@ VIOLATING_SIGNS_SPEC = {
     "dim_g": 0,
     "generator": {"name": "x", "degree_a": 1, "degree_b": 0},
     "product_table": [{"a": 0, "b": 0, "terms": [[1, 1]]}],
+}
+
+# x_a * x_b lies in degree 2a + 2b + 1, which holds no generator, so every
+# product is forced to zero; the check over the rectangle (6, 1) of the
+# solve at degree 6 needs x_1 * x_3 = 0, which lies past that bound
+FORCED_ZERO_MODULE = {
+    "algebra": {"p": 2, "dim_g": 0, "generator": {"name": "x", "degree_a": 2, "degree_b": 0}},
+    "action_table": {"max_op": 9, "max_gen": 9, "entries": [
+        {"op": 1, "gen": 0, "terms": [[1, 1]]},
+        {"op": 1, "gen": 1, "terms": [[1, 3]]},
+        {"op": 3, "gen": 0, "terms": [[1, 2]]},
+    ]},
 }
 
 
@@ -140,6 +153,17 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert (captured.out, captured.err) == ("", f"usage error: {message}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compute", "--module", "s1_p2", "--word", "0", "--gen", "-1"],
+         "--gen must be an unsigned decimal"),
+        (["table", "--module", "s1_p2", "--max-op", "-1", "--max-gen", "2"],
+         "table bounds must be unsigned decimals"),
+        (["solve", "--module", "s1_p2", "--max-degree", "-1"],
+         "--max-degree must be an unsigned decimal"),
+    ])
+    def test_negative_bound_is_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])
@@ -205,6 +229,34 @@ class TestVerifyCommands:
         assert code == 3
         assert out == ""
         assert err == "data error: relation override for (3, 1) yields (3, 1) again through (5, 0)\n"
+
+    @pytest.mark.parametrize("term, message", [
+        ([["binom", 3], 1, 0], 'binomial coefficient must be ["binom", n, k]'),
+        ([["binom", [0, 1], [0, 0]], [0, 1], 2], "relation term has unbounded summation range"),
+    ])
+    def test_malformed_override_term_is_data_error(self, capsys, tmp_path, term, message):
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps([{"r": 4, "s": 0, "terms": [term]}]))
+        assert run(
+            capsys, "verify", "adem", "--module", "s1_p2", "--max-index", "6",
+            "--max-gen", "2", "--relations", str(path),
+        ) == (3, "", f"data error: {message}\n")
+
+    def test_empty_summation_range_is_an_empty_sum(self, capsys, tmp_path):
+        # k = -1 for every w: the override claims Q_4 Q_0 = 0, which fails
+        # where C(g + 2, 2) is odd
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps(
+            [{"r": 4, "s": 0, "terms": [[["binom", [0, 1], -1], [0, 1], 2]]}]
+        ))
+        code, out, err = run(
+            capsys, "verify", "adem", "--module", "s1_p2", "--max-index", "6",
+            "--max-gen", "2", "--relations", str(path),
+        )
+        assert (code, err) == (1, "")
+        assert "63 instances, 2 failures" in out
+        assert "FAIL adem relation mismatch [r=4, s=0, gen=0]: x_5 != 0" in out
+        assert "FAIL adem relation mismatch [r=4, s=0, gen=2]: x_13 != 0" in out
 
     def test_cartan_with_candidate_table(self, capsys):
         code, out, _ = run(
@@ -305,6 +357,38 @@ class TestSolve:
         assert code == 0
         assert "check zero: ok" in out
 
+    def test_check_defines_forced_zero_pairs_past_the_bound(self, capsys, tmp_path):
+        path = tmp_path / "forced_zero.json"
+        path.write_text(json.dumps(FORCED_ZERO_MODULE))
+        code, out, err = run(
+            capsys, "solve", "--module", str(path), "--max-degree", "6", "--check",
+            "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["cartan_rectangle"] == {"max_n": 6, "max_gen": 1}
+        assert obj["checks"] == {"zero": True}
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        solve = cli.solve_product_table
+
+        def solve_with_binomial_basis(module, max_degree):
+            # the binomial candidate C(a + b + 1, a) breaks the Cartan formula
+            result = solve(module, max_degree)
+            result.basis[0] = {(a, b): lucas_binom(a + b + 1, a, 2) for a, b in result.slots}
+            return result
+
+        monkeypatch.setattr(cli, "solve_product_table", solve_with_binomial_basis)
+        argv = ("solve", "--module", "s1_p2", "--max-degree", "24", "--check")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert "check zero: ok\n" in out
+        assert "check basis[0]: FAIL\n" in out
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        checks = json.loads(out)["checks"]
+        assert checks["zero"] is True and checks["basis[0]"] is False
+
 
 class TestFileModules:
     def test_module_json_file(self, capsys, tmp_path):
@@ -376,6 +460,14 @@ class TestFileModules:
                   {"op": 0, "gen": 0, "terms": [[1, 1]]}, {"op": 0, "gen": 0, "terms": []}]}},
              ("compute", "--word", "0", "--gen", "0", "--module"),
              "duplicate action table entry (0, 0)"),
+            ({"algebra": dict(S1_SPEC_NO_TABLE,
+                              generator={"name": "x", "degree_a": -1, "degree_b": 0}),
+              "action": "s1_p2"},
+             ("compute", "--word", "0", "--gen", "0", "--module"),
+             "degree rule coefficients must be nonnegative"),
+            ({"algebra": dict(S1_SPEC_NO_TABLE, dim_g=-1), "action": "s1_p2"},
+             ("compute", "--word", "0", "--gen", "0", "--module"),
+             "algebra spec: dim_g must be a nonnegative integer, got -1"),
         ],
     )
     def test_malformed_entry_is_data_error(self, capsys, tmp_path, doc, argv, message):
@@ -434,6 +526,13 @@ class TestFileModules:
         assert code == 3
         assert out == ""
         assert err == f"data error: generator index {index} out of range for family x\n"
+
+    def test_module_naming_a_directory_is_data_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "compute", "--module", str(tmp_path), "--word", "0", "--gen", "0",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"data error: cannot read {tmp_path}") and err.count("\n") == 1
 
     def test_builtin_action_under_renamed_family(self, capsys, tmp_path):
         algebra = dict(S1_SPEC_NO_TABLE, generator={"name": "y", "degree_a": 2, "degree_b": 0})

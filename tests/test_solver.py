@@ -480,6 +480,23 @@ class TestSolverEdges:
         assert_rows_match_reference(module, result)
         assert_transpose_defers_alike(module, result)
 
+    def test_forced_zero_pairs_past_the_bound_are_defined_zeros(self):
+        # x_a * x_b lies in odd degree 2a + 2b + 1, where no generator lies, so
+        # every product term is skipped as forced to zero; the check over the
+        # rectangle (6, 1) needs x_1 * x_3, past the degree bound 6
+        fam = GeneratorFamily("x", 2, 0)
+        cells = {(1, 0): [(1, 1)], (1, 1): [(1, 3)], (3, 0): [(1, 2)]}
+        module = ModuleSpec(JoinAlgebraSpec(2, 0, fam), ActionTable(9, 9, cells))
+        result = solve_product_table(module, 6)
+        assert result.slots == [] and result.cartan_rectangle == (6, 1)
+        assert result.forced_zero == [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+        table = result.table_for({})
+        assert set(table) == set(result.targets) | set(result.forced_zero)
+        zero = ModuleSpec(JoinAlgebraSpec(2, 0, fam, table), module.action)
+        report = verify_cartan(zero, 6, 1)
+        assert report.passed and report.checked == 7 * 2 * 2
+        assert verify_sign_laws(zero.algebra).passed
+
     def test_non_injective_family_rejected(self):
         fam = GeneratorFamily("pt", 0, 0)
         module = ModuleSpec(JoinAlgebraSpec(3, 0, fam), ActionTable(2, 2, {}))
