@@ -120,7 +120,8 @@ class ModuleSpec:
     sweep builds its two sides, and GradedElements beyond the memo, only
     to render a failure. verify_adem calls only _apply_pairs_terms, which
     applies a sum of two-op words to one generator and queries the cells
-    that _apply_sum_terms would, in the same order.
+    that _apply_sum_terms would, in the same order. _apply_sum_terms applies
+    each word suffix that several words share once, in the same cell order.
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
@@ -212,14 +213,20 @@ class ModuleSpec:
         self, words: Iterable[tuple[Sequence[int], int]], terms: Mapping[int, int]
     ) -> dict[int, int]:
         """sum c * w(terms) over the (indices, c) pairs, reduced mod p. Each
-        word applies right to left and stops once its result is zero."""
+        word applies right to left and stops once its result is zero. A trie
+        on the reversed words, {index: (result, children)}, applies a shared
+        suffix once; cells are first queried as word after word would."""
         acc: dict[int, int] = {}
+        root: dict = {}
         for indices, c in words:
-            out = terms
+            out, node = terms, root
             for i in reversed(indices):
                 if not out:
                     break
-                out = self._apply_op_terms(i, out)
+                hit = node.get(i)
+                if hit is None:
+                    hit = node[i] = (self._apply_op_terms(i, out), {})
+                out, node = hit
             for idx, v in out.items():
                 acc[idx] = acc.get(idx, 0) + c * v
         p = self.p
@@ -286,13 +293,14 @@ class ModuleSpec:
         """Apply a word right to left, extended linearly: a one-word sum."""
         indices = w.indices if isinstance(w, OperationWord) else tuple(w)
         self._check_element(x)
-        return GradedElement(self.family, self.p, self._apply_sum_terms(((indices, 1),), x.terms))
+        terms = self._apply_sum_terms(((indices, 1),), x.terms)
+        return GradedElement._trusted(self.family, self.p, terms)
 
     def apply_sum(self, s: OperationSum, x: GradedElement) -> GradedElement:
         """Coefficient-weighted sum of apply_word over the terms of s."""
         self._check_element(x)
         terms = self._apply_sum_terms(sorted(s._terms.items()), x.terms)
-        return GradedElement(self.family, self.p, terms)
+        return GradedElement._trusted(self.family, self.p, terms)
 
     def cartan_expand(self, n: int, a: GradedElement, b: GradedElement) -> GradedElement:
         """sum_{i+j=n} Q_i(a) * Q_j(b), the product-side of the Cartan formula."""

@@ -33,8 +33,9 @@ class GeneratorFamily:
     max_index: int | None = None
 
     def __post_init__(self):
-        if self.degree_a < 0 or self.degree_b < 0:
-            raise ValueError("degree rule coefficients must be nonnegative")
+        for key, val in (("degree_a", self.degree_a), ("degree_b", self.degree_b)):
+            if val < 0:
+                raise ValueError(f"{key} must be a nonnegative integer, got {val!r}")
 
     def check_index(self, i: int) -> int:
         if i < 0 or (self.max_index is not None and i > self.max_index):
@@ -77,6 +78,14 @@ class GradedElement:
         self.family = family
         self.p = p
         self.terms = canon  # treat as read-only
+
+    @classmethod
+    def _trusted(cls, family: GeneratorFamily, p: int, terms: dict[int, int]) -> GradedElement:
+        # For kernel results: reduced nonzero coefficients on indices that
+        # the action memo has checked against the family.
+        out = object.__new__(cls)
+        out.family, out.p, out.terms = family, p, terms
+        return out
 
     @classmethod
     def generator(cls, family: GeneratorFamily, p: int, index: int, coeff: int = 1) -> "GradedElement":

@@ -120,7 +120,9 @@ class OperationSum:
 
     @classmethod
     def from_word(cls, word: OperationWord, coeff: int = 1) -> "OperationSum":
-        return cls(word.p, {word: coeff})
+        # the word's constructor has checked its indices and p
+        c = coeff % word.p
+        return cls._trusted(word.p, {word.indices: c} if c else {})
 
     @property
     def terms(self) -> dict[OperationWord, int]:
@@ -338,14 +340,15 @@ def rewrite_sum(
 ) -> OperationSum:
     """Linear extension of adem_rewrite to sums of words.
 
-    Pending words are expanded largest first in lexicographic order. Every
-    shipped expansion (r, s) -> (outer, inner) has outer <= s < r, so each
-    word it yields is smaller than the word it came from: a word is taken
-    up only after every word that can yield it, and is expanded once, with
-    its fully merged coefficient, or skipped when that coefficient is 0.
-    Which pair of a word is expanded (the leftmost descent) depends on the
-    word alone, so on a table whose expansions terminate the order in which
-    words are taken up cannot change the result.
+    Pending words are expanded largest first in lexicographic order, a
+    word before its extensions. Every shipped expansion (r, s) ->
+    (outer, inner) has outer <= s < r, so each word it yields is smaller
+    than the word it came from: a word is taken up only after every word
+    that can yield it, and is expanded once, with its fully merged
+    coefficient, or skipped when that coefficient is 0. Which pair of a
+    word is expanded (the leftmost descent) depends on the word alone, so
+    on a table whose expansions terminate the order in which words are
+    taken up cannot change the result.
 
     budget counts pair expansions. An override table whose expansions can
     cycle is malformed. RelationTable rejects a cycle of override pairs at
@@ -356,32 +359,40 @@ def rewrite_sum(
     """
     if relations is None:
         relations = RelationTable(s.p)
-    p = s.p
-    # Words are kept negated, so the heap's smallest key is the largest word.
-    # Negation is injective, so the keys stay distinct and reduced.
-    pending = {tuple(-i for i in idx): c for idx, c in s._terms.items()}
-    return OperationSum._trusted(
-        p,
-        {
-            tuple(-i for i in neg): c % p
-            for neg, c in _rewrite_negated(pending, relations, p, budget).items()
-            if c % p
-        },
-    )
+    return OperationSum._trusted(s.p, _rewrite(s._terms, relations, s.p, budget))
 
 
-def _rewrite_negated(
-    pending: dict[tuple[int, ...], int], relations: RelationTable, p: int, budget: int
+def _rewrite(
+    terms: Mapping[tuple[int, ...], int], relations: RelationTable, p: int, budget: int
 ) -> dict[tuple[int, ...], int]:
-    """The rewriting loop of rewrite_sum on negated index tuples.
+    """The rewriting loop of rewrite_sum, on words packed into single ints.
 
-    pending maps each negated word to its coefficient and is consumed. The
-    normal form comes back as negated admissible words with coefficients
-    that the caller reduces mod p: a word reached twice may sum to 0.
+    terms maps index tuples to reduced nonzero coefficients; the normal
+    form comes back the same way, in the order its words were taken up.
+    Each word is one int of k fields of f = m + 1 bits, its first index
+    highest, and the top bit of each field is a zero guard. A shorter word
+    is padded with the digit 2^m - 1, which no index reaches, so the larger
+    word has the larger code and a word's code exceeds its extensions';
+    the heap holds negated codes. Subtracting each digit from its right
+    neighbour across the guards borrows exactly at the descents, and the
+    highest borrowed guard marks the leftmost. An index too wide for the
+    fields packs every code again at a wider layout, which keeps their
+    order, so the heap stays a heap.
     """
+    if not terms:
+        return {}
+    k = max(2, *map(len, terms))
+    top = max(map(max, filter(None, terms)), default=0)
+    f, pad, guards, low = _layout(k, (top + 1).bit_length())
+    pending: dict[int, int] = {}
+    for idx, c in terms.items():
+        code = 0
+        for i in idx + (pad,) * (k - len(idx)):
+            code = code << f | i
+        pending[-code] = c
     heap = list(pending)
     heapify(heap)
-    done: dict[tuple[int, ...], int] = {}
+    done: dict[int, int] = {}
 
     steps = 0
     while heap:
@@ -389,26 +400,59 @@ def _rewrite_negated(
         c = pending.pop(neg)
         if c == 0:
             continue
-        # A descent idx[t] > idx[t + 1] reads neg[t] < neg[t + 1].
-        for t in range(len(neg) - 1):
-            if neg[t] < neg[t + 1]:
-                break
-        else:
+        code = -neg
+        desc = guards ^ (((code & low) | guards) - (code >> f)) & guards
+        if not desc:
             # An override table need not shrink words, so an admissible
             # word can be reached again after it was taken up.
             done[neg] = done.get(neg, 0) + c
             continue
         steps += 1
         if steps > budget:
-            raise RewriteBudgetError(
-                f"rewrite budget of {budget} pair expansions exceeded"
-            )
-        head, tail = neg[:t], neg[t + 2 :]
-        for coeff, (outer, inner) in relations.terms_for(-neg[t], -neg[t + 1]):
-            new = head + (-outer, -inner) + tail
+            raise RewriteBudgetError(f"rewrite budget of {budget} pair expansions exceeded")
+        s0 = desc.bit_length()  # the guard of b's field is bit s0 - 1
+        s1 = s0 - f
+        a, b = code >> s0 & pad, code >> s1 & pad
+        base = neg + (a << s0) + (b << s1)  # the word with its pair zeroed
+        for coeff, (outer, inner) in relations.terms_for(a, b):
+            if outer >= pad or inner >= pad:
+                f2, pad2, guards, low = _layout(k, (max(outer, inner) + 1).bit_length())
+                # the heap holds the keys of pending
+                wide = {x: _repack(x, k, f, pad, f2, pad2) for x in (base, *pending, *done)}
+                heap[:] = [wide[x] for x in heap]
+                pending = {wide[x]: v for x, v in pending.items()}
+                done = {wide[x]: v for x, v in done.items()}
+                base, s0, f, pad = wide[base], s0 // f * f2, f2, pad2
+                s1 = s0 - f
+            new = base - (outer << s0) - (inner << s1)
             old = pending.get(new)
             if old is None:
                 heappush(heap, new)
                 old = 0
             pending[new] = (old + c * coeff) % p
-    return done
+    shifts = range(f * (k - 1), -1, -f)
+    out: dict[tuple[int, ...], int] = {}
+    for neg, c in done.items():
+        c %= p
+        if c:
+            idx = tuple(-neg >> sh & pad for sh in shifts)
+            out[idx[: idx.index(pad)] if pad in idx else idx] = c
+    return out
+
+
+def _layout(k: int, m: int) -> tuple[int, int, int, int]:
+    """(f, pad, guards, low) of k fields of f = m + 1 bits: the guard bits
+    and the digit bits of every field but the leftmost."""
+    f = m + 1
+    pad = (1 << m) - 1
+    ones = ((1 << f * (k - 1)) - 1) // ((1 << f) - 1)
+    return f, pad, ones << m, ones * pad
+
+
+def _repack(neg: int, k: int, f: int, pad: int, f2: int, pad2: int) -> int:
+    """A negated code of the (f, pad) layout, in the (f2, pad2) layout."""
+    code = 0
+    for sh in range(f * (k - 1), -1, -f):
+        i = -neg >> sh & pad
+        code = code << f2 | (pad2 if i == pad else i)
+    return -code

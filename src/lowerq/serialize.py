@@ -65,12 +65,13 @@ def algebra_from_obj(obj) -> JoinAlgebraSpec:
     gen = _require(obj, "generator", dict, "algebra spec")
     if gen.get("max_index") is not None and not _is_int(gen["max_index"]):
         raise SchemaError("generator: key 'max_index' must be an integer")
-    family = GeneratorFamily(
-        name=_require(gen, "name", str, "generator"),
-        degree_a=_require(gen, "degree_a", int, "generator"),
-        degree_b=_require(gen, "degree_b", int, "generator"),
-        max_index=gen.get("max_index"),
-    )
+    name = _require(gen, "name", str, "generator")
+    degree_a = _require(gen, "degree_a", int, "generator")
+    degree_b = _require(gen, "degree_b", int, "generator")
+    try:
+        family = GeneratorFamily(name, degree_a, degree_b, gen.get("max_index"))
+    except ValueError as e:
+        raise SchemaError(f"algebra spec: {e}") from e
     table = None
     if obj.get("product_table") is not None:
         table = {}

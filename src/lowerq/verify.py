@@ -13,11 +13,12 @@ verify_adem and verify_cartan compute each relation once, as one
 {index: coeff} difference that must vanish, and build its two sides, and
 a GradedElement for each, only to render a failure. verify_sign_laws
 compares x_a * x_b with the signed x_b * x_a, each one table entry.
-verify_adem rewrites each pair with the loop that rewrite_sum wraps, on
-index tuples, and applies the difference with ModuleSpec's pair helper,
-which reads the action memo inline. It queries the same action cells, in
-the same order, as apply_word and then apply_sum would, so the first
-error raised is the same.
+verify_adem takes a pair's expansion as its normal form when every pair
+of it is admissible, and otherwise rewrites it with the kernel that
+rewrite_sum wraps, on index tuples in and out. It applies the difference
+with ModuleSpec's pair helper, which reads the action memo inline. It
+queries the same action cells, in the same order, as apply_word and then
+apply_sum would, so the first error raised is the same.
 verify_cartan checks each generator pair (a, b) for every n in one pass,
 as the solver assembles its pairs: it gives the report of the loop over
 (n, a, b) and, when nothing raises, queries the same set of action cells.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .actions import ModuleSpec
 from .algebra import GradedElement, JoinAlgebraSpec, ProductEntry, sign_exponent
-from .operations import DEFAULT_REWRITE_BUDGET, RelationTable, _rewrite_negated
+from .operations import DEFAULT_REWRITE_BUDGET, RelationTable, _rewrite
 
 
 @dataclass
@@ -121,9 +122,14 @@ def verify_adem(
             word = ((r, s, 1),)
             # every expansion replaces a pair by pairs, so the normal form
             # of Q_r Q_s is a sum of pairs, sorted by indices as apply_sum
-            # sorts the terms of a sum; the relation is Q_r Q_s minus it
-            normal = _rewrite_negated({(-r, -s): 1}, relations, p, DEFAULT_REWRITE_BUDGET)
-            rewritten = sorted((-a, -b, c % p) for (a, b), c in normal.items() if c % p)
+            # sorts the terms of a sum; the relation is Q_r Q_s minus it. An
+            # expansion into admissible pairs is its own normal form.
+            expansion = relations.terms_for(r, s)
+            if all(a <= b for _, (a, b) in expansion):
+                rewritten = sorted((a, b, c) for c, (a, b) in expansion)
+            else:
+                normal = _rewrite({(r, s): 1}, relations, p, DEFAULT_REWRITE_BUDGET)
+                rewritten = sorted((a, b, c) for (a, b), c in normal.items())
             difference = [*word, *((a, b, -c) for a, b, c in rewritten)]
             for g in range(max_gen + 1):
                 checked += 1

@@ -464,10 +464,13 @@ class TestFileModules:
                               generator={"name": "x", "degree_a": -1, "degree_b": 0}),
               "action": "s1_p2"},
              ("compute", "--word", "0", "--gen", "0", "--module"),
-             "degree rule coefficients must be nonnegative"),
+             "algebra spec: degree_a must be a nonnegative integer, got -1"),
             ({"algebra": dict(S1_SPEC_NO_TABLE, dim_g=-1), "action": "s1_p2"},
              ("compute", "--word", "0", "--gen", "0", "--module"),
              "algebra spec: dim_g must be a nonnegative integer, got -1"),
+            (dict(S1_SPEC_NO_TABLE, generator={"name": "x", "degree_a": 1, "degree_b": -2}),
+             ("verify", "signs", "--spec"),
+             "algebra spec: degree_b must be a nonnegative integer, got -2"),
         ],
     )
     def test_malformed_entry_is_data_error(self, capsys, tmp_path, doc, argv, message):

@@ -95,17 +95,28 @@ long_words = st.lists(st.integers(min_value=0, max_value=40), min_size=2, max_si
 )
 
 
+def largest_first(pending):
+    """The word rewrite_sum takes up next: the largest, a word before its
+    extensions (max(pending) for words of one length)."""
+    return min(pending, key=lambda idx: tuple(-i for i in idx))
+
+
 @st.composite
 def override_cases(draw):
     """A prime, an override table for every pair r > s over indices < 6,
-    each expansion a few constant terms, and a word over indices < 6."""
+    each expansion a few constant terms, and a word over indices < 6.
+
+    At p = 2 an expansion may also yield indices up to 40, past the 3-bit
+    digits that the word's indices need, and past a widened digit again;
+    the shipped family expands the pairs they form."""
     p = draw(st.sampled_from((2, 3, 5)))
     index = st.integers(min_value=0, max_value=5)
+    output = st.one_of(index, st.integers(6, 40)) if p == 2 else index
     term = st.builds(
         lambda c, o, i: RelationTerm(c, AffineExpr(o), AffineExpr(i)),
         st.integers(min_value=1, max_value=p - 1) if p > 2 else st.just(1),
-        index,
-        index,
+        output,
+        output,
     )
     table = {
         (r, s): tuple(draw(st.lists(term, max_size=2)))
@@ -463,6 +474,8 @@ class TestAgainstReference:
         cancelled = []
         largest = outcome(reference_rewrite_sum, s, mirror, "leftmost", budget, max, cancelled)
         assert got == largest
+        if isinstance(got, OperationSum):
+            assert list(got._terms.items()) == list(largest._terms.items())
         assert new.calls == mirror.calls
         # smallest first differs only where, in either order, a word's
         # coefficient cancels before it is taken up (on a cyclic table
@@ -474,3 +487,47 @@ class TestAgainstReference:
             # which malformed pair a cycle reaches first depends on the order
             malformed = ("budget", "self-loop")
             assert got == want or (got in malformed and want in malformed)
+
+
+class TestPackedWords:
+    """rewrite_sum packs each word into one int, its indices in fields
+    just wide enough for the largest index of the sum."""
+
+    def test_override_widens_twice_in_one_expansion(self):
+        # the indices of Q_6 Q_3 Q_1 fit 3-bit digits; expanding (5, 1)
+        # yields Q_7, which needs 4 bits, and then Q_38, which needs 6
+        overrides = {(5, 1): (term(7, 5), term(38, 0))}
+        s = OperationSum.from_word(w2(6, 3, 1))
+        new, ref = CountingTable(2, overrides), CountingTable(2, overrides)
+        got = rewrite_sum(s, new)
+        want = reference_rewrite_sum(s, ref, "leftmost", 10**6, max)
+        assert got == want == OperationSum(2, {w2(0, 1, 19): 1, w2(2, 5, 6): 1})
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert new.calls == ref.calls == 5
+
+    def test_mixed_lengths_share_one_order(self):
+        # the empty word, a word and its extensions: shorter words are
+        # padded, and each is taken up before its extensions
+        overrides = {(5, 1): (term(7, 5), term(38, 0))}
+        s = OperationSum(
+            2, {w2(6, 3, 1, 0): 1, w2(): 1, w2(6, 3): 1, w2(9): 1, w2(6, 3, 1): 1, w2(6): 1}
+        )
+        new, ref = CountingTable(2, overrides), CountingTable(2, overrides)
+        got = rewrite_sum(s, new)
+        want = reference_rewrite_sum(s, ref, "leftmost", 10**6, largest_first)
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert new.calls == ref.calls
+        assert w2() in got.terms and w2(9) in got.terms
+
+    def test_first_malformed_pair_follows_the_order(self):
+        # Q_4 Q_1 is taken up before Q_3 Q_2 Q_0, so the missing odd-p
+        # family is met before the override of (3, 2) that yields itself
+        overrides = {(3, 2): (term(3, 2),)}
+        s = OperationSum(3, {OperationWord((3, 2, 0), 3): 1, OperationWord((4, 1), 3): 1})
+        new, ref = CountingTable(3, overrides), CountingTable(3, overrides)
+        missing = "no built-in relation family for p = 3"
+        with pytest.raises(RelationDataError, match=missing):
+            rewrite_sum(s, new)
+        with pytest.raises(RelationDataError, match=missing):
+            reference_rewrite_sum(s, ref, "leftmost", 10**6, largest_first)
+        assert new.calls == ref.calls == 1

@@ -69,6 +69,28 @@ def densify(vecs, ncols):
     return [[vec.get(c, 0) for c in range(ncols)] for vec in vecs]
 
 
+def in_span(vec, result):
+    """Whether the assignment vec (slot -> coeff) lies in the span of the
+    basis. Each basis vector is 1 on its own free slot and 0 on the others,
+    so the only candidate combination is the one given by vec's values on
+    the free slots."""
+    p = result.p
+    combo = dict.fromkeys(result.slots, 0)
+    for slot, basis_vec in zip(result.free_slots, result.basis):
+        for s, v in basis_vec.items():
+            combo[s] = (combo[s] + vec.get(slot, 0) * v) % p
+    return combo == {s: vec.get(s, 0) % p for s in result.slots}
+
+
+def assert_nested(small, large):
+    """Raising the degree bound adds equations and slots but keeps every
+    equation of the smaller window, so each basis vector of the larger
+    window restricts to a solution of the smaller one."""
+    assert set(small.slots) <= set(large.slots)
+    for vec in large.basis:
+        assert in_span({s: vec.get(s, 0) for s in small.slots}, small)
+
+
 def recomputed_cartan_rectangle(m, cols, targets, max_degree):
     best = None
     best_score = -1
@@ -419,6 +441,13 @@ class TestSolveS1:
         assert len(span) == 2 ** len(result.basis)
         assert passing == span
 
+    def test_nested_windows(self, result, result72):
+        # an oracle past brute force: an instance emitted where it should be
+        # deferred, or the reverse, breaks the nesting
+        result40 = solve_product_table(s1_module(), 40)
+        for small, large in ((result, result40), (result40, result72), (result, result72)):
+            assert_nested(small, large)
+
     def test_slots_in_lexicographic_order(self, result):
         assert result.slots == sorted(result.slots)
 
@@ -479,6 +508,26 @@ class TestSolverEdges:
         assert result.cartan_rectangle == reference_rectangle(module, result)
         assert_rows_match_reference(module, result)
         assert_transpose_defers_alike(module, result)
+
+    @given(
+        st.sampled_from(("circle", "p3")),
+        st.integers(0, 14),
+        st.integers(0, 14),
+        st.sets(st.tuples(st.integers(0, 7), st.integers(0, 14), st.integers(1, 2)), max_size=30),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_nested_windows_on_random_tables(self, kind, d1, d2, cells):
+        # sparse circle actions Q_{2j}(x_g) = x_{2g+j+1} and sparse p = 3
+        # actions, over rectangles that every solve up to degree 14 stays in
+        if kind == "circle":
+            algebra = s1_algebra()
+            entries = {(2 * j, g): [(1, 2 * g + j + 1)] for j, g, _ in cells}
+        else:
+            algebra = JoinAlgebraSpec(3, 0, GeneratorFamily("e", 1, 0))
+            entries = {(op, g): [(c, 3 * g + 2 + 4 * op)] for op, g, c in cells}
+        module = ModuleSpec(algebra, ActionTable(14, 14, entries))
+        small, large = sorted((d1, d2))
+        assert_nested(solve_product_table(module, small), solve_product_table(module, large))
 
     def test_forced_zero_pairs_past_the_bound_are_defined_zeros(self):
         # x_a * x_b lies in odd degree 2a + 2b + 1, where no generator lies, so
