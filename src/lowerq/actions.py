@@ -15,8 +15,8 @@ the rectangle are errors, not zeros.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import GeneratorFamily, GradedElement, JoinAlgebraSpec
 from .errors import ActionRangeError, FamilyMismatchError

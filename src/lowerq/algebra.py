@@ -15,27 +15,25 @@ any consistency check built on top of the product.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 
-from .errors import FamilyMismatchError, UndefinedProductError
+from .errors import FamilyMismatchError, FrozenRecord, UndefinedProductError
 from .fields import FpScalar, check_prime
 
 ProductEntry = tuple[tuple[int, int], ...]  # ((coeff, result_index), ...)
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+class GeneratorFamily(FrozenRecord):
     """An indexed generator family with degree rule i -> degree_a*i + degree_b."""
 
-    name: str
-    degree_a: int
-    degree_b: int
-    max_index: int | None = None
+    __slots__ = ("name", "degree_a", "degree_b", "max_index")
 
-    def __post_init__(self):
-        for key, val in (("degree_a", self.degree_a), ("degree_b", self.degree_b)):
+    def __init__(self, name: str, degree_a: int, degree_b: int, max_index: int | None = None):
+        for key, val in (("degree_a", degree_a), ("degree_b", degree_b)):
             if val < 0:
                 raise ValueError(f"{key} must be a nonnegative integer, got {val!r}")
+        if max_index is not None and max_index < 0:
+            raise ValueError(f"max_index must be a nonnegative integer, got {max_index!r}")
+        self._set(name, degree_a, degree_b, max_index)
 
     def check_index(self, i: int) -> int:
         if i < 0 or (self.max_index is not None and i > self.max_index):

@@ -33,28 +33,26 @@ rewriting at odd p requires override data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
 
-from .errors import RelationDataError, RewriteBudgetError
+from .errors import FrozenRecord, RelationDataError, RewriteBudgetError
 from .fields import check_prime, lucas_binom
 
 DEFAULT_REWRITE_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class OperationWord:
+class OperationWord(FrozenRecord):
     """A composite of lower-indexed operations; rightmost index acts first."""
 
-    indices: tuple[int, ...]
-    p: int
+    __slots__ = ("indices", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        check_prime(self.p)
-        if any(i < 0 for i in self.indices):
+    def __init__(self, indices: Iterable[int], p: int):
+        indices = tuple(indices)
+        check_prime(p)
+        if any(i < 0 for i in indices):
             raise ValueError("operation indices must be nonnegative")
+        self._set(indices, p)
 
     def __len__(self):
         return len(self.indices)
@@ -151,12 +149,13 @@ class OperationSum:
 # --- relation tables --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineExpr:
+class AffineExpr(FrozenRecord):
     """const + slope*w in the summation variable w."""
 
-    const: int
-    slope: int = 0
+    __slots__ = ("const", "slope")
+
+    def __init__(self, const: int, slope: int = 0):
+        self._set(const, slope)
 
     def at(self, w: int) -> int:
         return self.const + self.slope * w
@@ -166,8 +165,7 @@ class AffineExpr:
         return self.slope == 0
 
 
-@dataclass(frozen=True)
-class RelationTerm:
+class RelationTerm(FrozenRecord):
     """One (possibly parametric) term of a relation right-hand side.
 
     coeff is either a plain integer or a pair (n_expr, k_expr) standing for
@@ -178,9 +176,10 @@ class RelationTerm:
     dropped as zero operations.
     """
 
-    coeff: int | tuple[AffineExpr, AffineExpr]
-    outer: AffineExpr
-    inner: AffineExpr
+    __slots__ = ("coeff", "outer", "inner")
+
+    def __init__(self, coeff: int | tuple[AffineExpr, AffineExpr], outer: AffineExpr, inner: AffineExpr):
+        self._set(coeff, outer, inner)
 
     def uses_variable(self) -> bool:
         if isinstance(self.coeff, tuple) and not (

@@ -31,10 +31,9 @@ and its coefficients differ only by signs +-1, which never make one zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .actions import ModuleSpec
 from .algebra import sign_exponent
+from .errors import Record
 
 Slot = tuple[int, int]
 Row = tuple[tuple[int, int], ...]
@@ -96,38 +95,36 @@ def nullspace_basis(
     return list(basis.values())
 
 
-@dataclass
-class LinearSystem:
+class LinearSystem(Record):
     """The homogeneous system A x = 0 over F_p, one unknown per column
     (SolverResult.slots names the columns in order). Each row is a tuple
     of (col, coeff) pairs, sorted by col, holding only the nonzero
     coefficients reduced mod p; the rows stay sparse because the Cartan
     systems are about 1% nonzero."""
 
-    rows: list[Row]
-    p: int
+    __slots__ = ("rows", "p")
+
+    def __init__(self, rows: list[Row], p: int):
+        self._set(rows, p)
 
     def residual(self, vec: list[int]) -> list[int]:
         """A*x mod p for a dense vector x, for a direct check of emitted solutions."""
         return [sum(a * vec[c] for c, a in row) % self.p for row in self.rows]
 
 
-@dataclass
-class SolverResult:
-    p: int
-    max_degree: int
-    slots: list[Slot]
-    instances: int
-    equations: int
-    deferred: int
-    rank: int
-    free_slots: list[Slot]
-    basis: list[dict[Slot, int]]
-    cartan_rectangle: tuple[int, int] | None
-    system: LinearSystem = field(repr=False)
-    targets: dict[Slot, int | None] = field(repr=False, default_factory=dict)
-    # canonical pairs past the degree bound that assembly met forced to zero
-    forced_zero: list[Slot] = field(repr=False, default_factory=list)
+class SolverResult(Record):
+    # forced_zero: canonical pairs past the degree bound that assembly met forced to zero
+    __slots__ = ("p", "max_degree", "slots", "instances", "equations", "deferred", "rank",
+                 "free_slots", "basis", "cartan_rectangle", "system", "targets", "forced_zero")
+    _hidden = 3  # system, targets and forced_zero
+
+    def __init__(self, p: int, max_degree: int, slots: list[Slot], instances: int, equations: int,
+                 deferred: int, rank: int, free_slots: list[Slot], basis: list[dict[Slot, int]],
+                 cartan_rectangle: tuple[int, int] | None, system: LinearSystem,
+                 targets: dict[Slot, int | None] | None = None, forced_zero: list[Slot] | None = None):
+        self._set(p, max_degree, slots, instances, equations, deferred, rank, free_slots, basis,
+                  cartan_rectangle, system, {} if targets is None else targets,
+                  [] if forced_zero is None else forced_zero)
 
     @property
     def no_constraints(self) -> bool:

@@ -28,19 +28,18 @@ On an error it replays that loop, to raise the loop's first error.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .actions import ModuleSpec
 from .algebra import GradedElement, JoinAlgebraSpec, ProductEntry, sign_exponent
+from .errors import Record
 from .operations import DEFAULT_REWRITE_BUDGET, RelationTable, _rewrite
 
 
-@dataclass
-class Failure:
-    description: str
-    inputs: dict
-    lhs: str
-    rhs: str
+class Failure(Record):
+    __slots__ = ("description", "inputs", "lhs", "rhs")
+
+    def __init__(self, description: str, inputs: dict, lhs: str, rhs: str):
+        self._set(description, inputs, lhs, rhs)
 
     def to_obj(self) -> dict:
         return {
@@ -51,11 +50,11 @@ class Failure:
         }
 
 
-@dataclass
-class VerificationReport:
-    checked: int = 0
-    failures: list[Failure] = field(default_factory=list)
-    elapsed_ms: int = 0
+class VerificationReport(Record):
+    __slots__ = ("checked", "failures", "elapsed_ms")
+
+    def __init__(self, checked: int = 0, failures: list[Failure] | None = None, elapsed_ms: int = 0):
+        self._set(checked, [] if failures is None else failures, elapsed_ms)
 
     @property
     def passed(self) -> bool:

@@ -471,6 +471,11 @@ class TestFileModules:
             (dict(S1_SPEC_NO_TABLE, generator={"name": "x", "degree_a": 1, "degree_b": -2}),
              ("verify", "signs", "--spec"),
              "algebra spec: degree_b must be a nonnegative integer, got -2"),
+            ({"algebra": dict(S1_SPEC_NO_TABLE, generator=dict(
+                S1_SPEC_NO_TABLE["generator"], max_index=-1)),
+              "action_table": {"max_op": 4, "max_gen": 4, "entries": []}},
+             ("compute", "--word", "0", "--gen", "0", "--module"),
+             "algebra spec: max_index must be a nonnegative integer, got -1"),
         ],
     )
     def test_malformed_entry_is_data_error(self, capsys, tmp_path, doc, argv, message):
