@@ -111,17 +111,18 @@ class ModuleSpec:
     that raises, its first error.
 
     The arithmetic runs on plain {index: coeff} dicts in private helpers:
-    _apply_op_terms, _apply_sum_terms, _apply_pairs_terms and
-    _cartan_terms. act, apply_op, apply_word (a one-word sum), apply_sum
-    and cartan_expand are thin wrappers over the others that check that
-    their elements live over this module and build a GradedElement for
-    their result. The verification sweeps call the helpers directly and
-    compute each relation once, as a difference that must vanish, so a
-    sweep builds its two sides, and GradedElements beyond the memo, only
-    to render a failure. verify_adem calls only _apply_pairs_terms, which
-    applies a sum of two-op words to one generator and queries the cells
-    that _apply_sum_terms would, in the same order. _apply_sum_terms applies
-    each word suffix that several words share once, in the same cell order.
+    _apply_op_terms, _apply_sum_terms and _apply_pairs_terms. act,
+    apply_op, apply_word (a one-word sum) and apply_sum are thin wrappers
+    over them that check that their elements live over this module and
+    build a GradedElement for their result; cartan_expand runs its loop
+    over i on _apply_op_terms. The verification sweeps call the helpers
+    directly and compute each relation once, as a difference that must
+    vanish, so a sweep builds its two sides, and GradedElements beyond the
+    memo, only to render a failure. verify_adem calls only
+    _apply_pairs_terms, which applies a sum of two-op words to one
+    generator and queries the cells that _apply_sum_terms would, in the
+    same order. _apply_sum_terms applies each word suffix that several
+    words share once, in the same cell order.
     """
 
     def __init__(self, algebra: JoinAlgebraSpec, action: ActionRule):
@@ -259,24 +260,6 @@ class ModuleSpec:
         p = self.algebra.p
         return {idx: v % p for idx, v in acc.items() if v % p}
 
-    def _cartan_terms(
-        self, n: int, a_terms: Mapping[int, int], b_terms: Mapping[int, int]
-    ) -> dict[int, int]:
-        """sum_{i+j=n} Q_i(a) * Q_j(b) on {index: coeff} dicts, reduced mod p."""
-        # Q_i(a) * Q_{n-i}(b) vanishes unless some generator of a has a
-        # nonzero Q_i and some generator of b a nonzero Q_{n-i}.
-        ops_a = {i for g in a_terms for i, _ in self._nonzero_ops(g, n)}
-        ops_b = {n - j for g in b_terms for j, _ in self._nonzero_ops(g, n)}
-        acc: dict[int, int] = {}
-        for i in sorted(ops_a & ops_b):
-            qa = self._apply_op_terms(i, a_terms)
-            qb = self._apply_op_terms(n - i, b_terms)
-            if qa and qb:
-                for idx, c in self.algebra._product_terms(qa, qb).items():
-                    acc[idx] = acc.get(idx, 0) + c
-        p = self.p
-        return {idx: c % p for idx, c in acc.items() if c % p}
-
     def _check_element(self, x: GradedElement) -> None:
         if x.family != self.family or x.p != self.p:
             raise FamilyMismatchError("element does not live over this module")
@@ -308,7 +291,18 @@ class ModuleSpec:
             raise ValueError("operation index must be nonnegative")
         self._check_element(a)
         self._check_element(b)
-        return GradedElement(self.family, self.p, self._cartan_terms(n, a.terms, b.terms))
+        # Q_i(a) * Q_{n-i}(b) vanishes unless some generator of a has a
+        # nonzero Q_i and some generator of b a nonzero Q_{n-i}.
+        ops_a = {i for g in a.terms for i, _ in self._nonzero_ops(g, n)}
+        ops_b = {n - j for g in b.terms for j, _ in self._nonzero_ops(g, n)}
+        acc: dict[int, int] = {}
+        for i in sorted(ops_a & ops_b):
+            qa = self._apply_op_terms(i, a.terms)
+            qb = self._apply_op_terms(n - i, b.terms)
+            if qa and qb:
+                for idx, c in self.algebra._product_terms(qa, qb).items():
+                    acc[idx] = acc.get(idx, 0) + c
+        return GradedElement(self.family, self.p, acc)
 
 
 # --- candidate product tables for the circle module -------------------

@@ -18,8 +18,6 @@ Set DL_COLOR=0 to disable ANSI styling.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
@@ -156,12 +154,10 @@ def cmd_table(args) -> int:
             row.append(sum(el.terms.values()) % module.p if el.terms else 0)
         rows.append(row)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["gen"] + [str(op) for op in range(args.max_op + 1)])
-        for gen, row in enumerate(rows):
-            writer.writerow([gen] + row)
-        sys.stdout.write(out.getvalue())
+        # int cells need no quoting; rows end in \r\n as csv.writer's do
+        lines = [["gen", *range(args.max_op + 1)]]
+        lines += [[gen, *row] for gen, row in enumerate(rows)]
+        sys.stdout.write("".join(",".join(map(str, line)) + "\r\n" for line in lines))
         return 0
     width = max(3, len(str(args.max_op)))
     header = "gen\\op " + " ".join(f"{op:>{width}}" for op in range(args.max_op + 1))

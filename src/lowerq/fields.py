@@ -9,21 +9,16 @@ binomials vanishing.
 
 from __future__ import annotations
 
-_PRIMES_SEEN: set[int] = set()
-
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check; moduli here are small."""
     if n < 2:
         return False
-    if n in _PRIMES_SEEN:
-        return True
     d = 2
     while d * d <= n:
         if n % d == 0:
             return False
         d += 1
-    _PRIMES_SEEN.add(n)
     return True
 
 

@@ -22,7 +22,8 @@ apply_sum would, so the first error raised is the same.
 verify_cartan checks each generator pair (a, b) for every n in one pass,
 as the solver assembles its pairs: it gives the report of the loop over
 (n, a, b) and, when nothing raises, queries the same set of action cells.
-On an error it replays that loop, to raise the loop's first error.
+On an error it replays that loop through the public wrappers
+join_product, apply_op and cartan_expand, to raise the loop's first error.
 """
 
 from __future__ import annotations
@@ -216,22 +217,19 @@ def _cartan_failures(m: ModuleSpec, max_n: int, max_gen: int) -> list[Failure]:
 
 
 def _replay_cartan(m: ModuleSpec, max_n: int, max_gen: int) -> None:
-    """The generator checks, products and action queries of verify_cartan
-    in the order of the loop over n, a and b, with nothing compared: run
-    after an error, it raises that loop's first error."""
-    p = m.p
-    product = m.algebra._product_terms
+    """The loop over n, a and b through join_product, apply_op and
+    cartan_expand, with nothing compared: run after an error, it raises
+    that loop's first error."""
     # x_b is checked where the first row (n = 0, a = 0) first needs it: an
     # index past the family's bound raises only after the products before it
-    gens: list[dict[int, int]] = []
+    gens: list[GradedElement] = []
     for n in range(max_n + 1):
         for a in range(max_gen + 1):
             for b in range(max_gen + 1):
                 if b == len(gens):
-                    gens.append({m.family.check_index(b): 1})
-                ab = {idx: c % p for idx, c in product(gens[a], gens[b]).items() if c % p}
-                m._apply_op_terms(n, ab)
-                m._cartan_terms(n, gens[a], gens[b])
+                    gens.append(m.basis_element(b))
+                m.apply_op(n, m.algebra.join_product(gens[a], gens[b]))
+                m.cartan_expand(n, gens[a], gens[b])
 
 
 def verify_sign_laws(spec: JoinAlgebraSpec) -> VerificationReport:

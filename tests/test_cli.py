@@ -38,6 +38,14 @@ FORCED_ZERO_MODULE = {
     ]},
 }
 
+# the circle family with an empty product table and an action tabulated,
+# all zero, only for op <= 2
+NO_PRODUCTS_MODULE = {
+    "algebra": {"p": 2, "dim_g": 1, "generator": {"name": "x", "degree_a": 2, "degree_b": 0},
+                "product_table": []},
+    "action_table": {"max_op": 2, "max_gen": 4, "entries": []},
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -117,6 +125,15 @@ class TestTable:
         assert lines[0] == "gen,0,1,2,3,4"
         assert lines[1] == "0,1,0,1,0,1"
         assert lines[2] == "1,1,0,0,0,1"
+
+    def test_csv_bytes(self, capsys):
+        # csv.writer's default dialect: comma-separated cells, \r\n line ends
+        code, out, _ = run(
+            capsys, "table", "--module", "s1_p2", "--max-op", "4", "--max-gen", "1",
+            "--format", "csv",
+        )
+        assert code == 0
+        assert out == "gen,0,1,2,3,4\r\n0,1,0,1,0,1\r\n1,1,0,0,0,1\r\n"
 
     def test_text_matrix(self, capsys):
         code, out, _ = run(capsys, "table", "--module", "s1_p2", "--max-op", "2", "--max-gen", "1")
@@ -278,6 +295,16 @@ class TestVerifyCommands:
         )
         assert code == 3
         assert "product undefined for pair (0, 0)" in err
+
+    def test_cartan_raises_the_first_error_of_the_loop(self, capsys, tmp_path):
+        # the pair sweep reaches the action cell (3, 0), outside the table's
+        # rectangle, before any product; the loop over (n, a, b) needs
+        # x_0 * x_0, undefined, first
+        path = tmp_path / "mod.json"
+        path.write_text(json.dumps(NO_PRODUCTS_MODULE))
+        assert run(
+            capsys, "verify", "cartan", "--module", str(path), "--max-n", "4", "--max-gen", "1",
+        ) == (3, "", "data error: product undefined for pair (0, 0)\n")
 
     def test_signs_violation(self, capsys, tmp_path):
         path = tmp_path / "p3_dimg0.json"

@@ -441,6 +441,17 @@ class TestParityWithWrapperSweeps:
     def test_cartan_matches_reference_on_random_modules(self, case):
         assert_same_cartan(*case)
 
+    def test_cartan_raises_the_first_error_of_the_loop(self):
+        # the pair sweep queries the action cell (3, 0), outside the
+        # rectangle, before any product; the loop over (n, a, b) needs the
+        # undefined x_0 * x_0 first
+        m = ModuleSpec(JoinAlgebraSpec(2, 1, GeneratorFamily("x", 2, 0), {}), ActionTable(2, 4, {}))
+        with pytest.raises(UndefinedProductError, match=r"^product undefined for pair \(0, 0\)$"):
+            verify_cartan(m, 4, 1)
+        assert assert_same_cartan(m, 4, 1) == (
+            UndefinedProductError, "product undefined for pair (0, 0)"
+        )
+
     @pytest.mark.parametrize("action", ["s1_p2", ActionTable(10, 10, {})])
     def test_errors_past_the_family_bound(self, action):
         fam = GeneratorFamily("x", 2, 0, max_index=3)
