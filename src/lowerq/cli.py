@@ -12,7 +12,6 @@ usage or data error is one line on stderr.
 
 Words are comma-separated unsigned decimals; the leftmost index is
 applied last, so --word 2,0 means apply Q_0 first and Q_2 to the result.
-Set DL_COLOR=0 to disable ANSI styling.
 """
 
 from __future__ import annotations
@@ -50,14 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"usage error: {_one_line(message)}\n")
-
-
-def _use_color() -> bool:
-    return sys.stdout.isatty() and os.environ.get("DL_COLOR") != "0"
-
-
-def _paint(text: str, code: str) -> str:
-    return f"\x1b[{code}m{text}\x1b[0m" if _use_color() else text
 
 
 def _emit_json(obj) -> None:
@@ -172,10 +163,7 @@ def _finish_verify(report, label: str, fmt: str) -> int:
         _emit_json(report.to_obj())
     else:
         print(report.render_text(label))
-        verdict = (
-            _paint("PASS", "32") if report.passed else _paint("FAIL", "31")
-        )
-        print(f"result: {verdict}")
+        print(f"result: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
 
 
@@ -245,8 +233,7 @@ def cmd_solve(args) -> int:
             print(f"basis[{i}]: {body}")
         if check_results is not None:
             for label, ok in check_results:
-                verdict = _paint("ok", "32") if ok else _paint("FAIL", "31")
-                print(f"check {label}: {verdict}")
+                print(f"check {label}: {'ok' if ok else 'FAIL'}")
     if check_results is not None and not all(ok for _, ok in check_results):
         return 1
     return 0

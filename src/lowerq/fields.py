@@ -9,9 +9,12 @@ binomials vanishing.
 
 from __future__ import annotations
 
+from functools import cache
 
+
+@cache
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; moduli here are small."""
+    """Trial-division primality check, cached: every element checks its modulus."""
     if n < 2:
         return False
     d = 2

@@ -54,9 +54,6 @@ class OperationWord(FrozenRecord):
             raise ValueError("operation indices must be nonnegative")
         self._set(indices, p)
 
-    def __len__(self):
-        return len(self.indices)
-
     def __repr__(self):
         body = " ".join(f"Q_{i}" for i in self.indices) or "id"
         return f"<{body} (p={self.p})>"
@@ -188,19 +185,30 @@ class RelationTerm(FrozenRecord):
             return True
         return not (self.outer.is_constant and self.inner.is_constant)
 
+    def _range(self) -> range:
+        """The values of the summation variable that expand visits."""
+        if not self.uses_variable():
+            return range(1)
+        if isinstance(self.coeff, tuple):
+            lo, hi = _binom_support(*self.coeff)
+            return range(lo, hi + 1)
+        raise RelationDataError(
+            "parametric relation term needs a binomial coefficient to bound its range"
+        )
+
+    def _reach(self) -> int:
+        """A bound, at least 0, on the indices expand yields."""
+        try:
+            ws = self._range()
+        except RelationDataError:  # raised before any index is yielded
+            return 0
+        ends = (ws[0], ws[-1]) if ws else ()  # affine outer and inner peak at an end
+        return max([0, *(e.at(w) for e in (self.outer, self.inner) for w in ends)])
+
     def expand(self, p: int) -> list[tuple[int, tuple[int, int]]]:
         binom = isinstance(self.coeff, tuple)
-        if not self.uses_variable():
-            ws = range(1)
-        elif binom:
-            lo, hi = _binom_support(*self.coeff)
-            ws = range(lo, hi + 1)
-        else:
-            raise RelationDataError(
-                "parametric relation term needs a binomial coefficient to bound its range"
-            )
         terms = []
-        for w in ws:
+        for w in self._range():
             if binom:
                 c = lucas_binom(self.coeff[0].at(w), self.coeff[1].at(w), p)
             else:
@@ -261,7 +269,11 @@ def builtin_pair_terms(p: int, r: int, s: int) -> tuple[tuple[int, tuple[int, in
 
 
 class RelationTable:
-    """Per-pair Adem expansions: overrides where given, built-in data otherwise."""
+    """Per-pair Adem expansions: overrides where given, built-in data otherwise.
+
+    Built-in expansions yield indices below their pair, so a rewrite reaches
+    no index above those of its input and _top, the largest index that the
+    overrides given here can yield."""
 
     def __init__(
         self,
@@ -271,6 +283,7 @@ class RelationTable:
         check_prime(p)
         self.p = p
         self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
+        self._top = max((t._reach() for v in self.overrides.values() for t in v), default=0)
         self._cache: dict[tuple[int, int], tuple] = {}
 
     def terms_for(self, r: int, s: int) -> tuple[tuple[int, tuple[int, int]], ...]:
@@ -281,6 +294,11 @@ class RelationTable:
             return hit
         if key in self.overrides:
             expansion = self._override_terms(key)
+            if max((max(pair) for _, pair in expansion), default=0) > self._top:
+                raise RelationDataError(
+                    f"relation override for {key} yields an index past {self._top},"
+                    " the bound set by the overrides the table was built with"
+                )
             self._check_cycle(key, expansion)
         else:
             expansion = builtin_pair_terms(self.p, r, s)
@@ -369,20 +387,23 @@ def _rewrite(
     terms maps index tuples to reduced nonzero coefficients; the normal
     form comes back the same way, in the order its words were taken up.
     Each word is one int of k fields of f = m + 1 bits, its first index
-    highest, and the top bit of each field is a zero guard. A shorter word
-    is padded with the digit 2^m - 1, which no index reaches, so the larger
-    word has the larger code and a word's code exceeds its extensions';
-    the heap holds negated codes. Subtracting each digit from its right
-    neighbour across the guards borrows exactly at the descents, and the
-    highest borrowed guard marks the leftmost. An index too wide for the
-    fields packs every code again at a wider layout, which keeps their
-    order, so the heap stays a heap.
+    highest, and the top bit of each field is a zero guard. The digits are
+    sized once, for the largest index of the sum and relations._top, so
+    every word the loop reaches fits them. A shorter word is padded with
+    the digit 2^m - 1, which no index reaches, so the larger word has the
+    larger code and a word's code exceeds its extensions'; the heap holds
+    negated codes. Subtracting each digit from its right neighbour across
+    the guards borrows exactly at the descents, and the highest borrowed
+    guard marks the leftmost.
     """
     if not terms:
         return {}
     k = max(2, *map(len, terms))
-    top = max(map(max, filter(None, terms)), default=0)
-    f, pad, guards, low = _layout(k, (top + 1).bit_length())
+    m = (max(relations._top, *map(max, filter(None, terms)), 0) + 1).bit_length()
+    f = m + 1
+    pad = (1 << m) - 1
+    ones = ((1 << f * (k - 1)) - 1) // ((1 << f) - 1)
+    guards, low = ones << m, ones * pad  # the guard bits; the digits of all fields but the first
     pending: dict[int, int] = {}
     for idx, c in terms.items():
         code = 0
@@ -414,15 +435,6 @@ def _rewrite(
         a, b = code >> s0 & pad, code >> s1 & pad
         base = neg + (a << s0) + (b << s1)  # the word with its pair zeroed
         for coeff, (outer, inner) in relations.terms_for(a, b):
-            if outer >= pad or inner >= pad:
-                f2, pad2, guards, low = _layout(k, (max(outer, inner) + 1).bit_length())
-                # the heap holds the keys of pending
-                wide = {x: _repack(x, k, f, pad, f2, pad2) for x in (base, *pending, *done)}
-                heap[:] = [wide[x] for x in heap]
-                pending = {wide[x]: v for x, v in pending.items()}
-                done = {wide[x]: v for x, v in done.items()}
-                base, s0, f, pad = wide[base], s0 // f * f2, f2, pad2
-                s1 = s0 - f
             new = base - (outer << s0) - (inner << s1)
             old = pending.get(new)
             if old is None:
@@ -437,21 +449,3 @@ def _rewrite(
             idx = tuple(-neg >> sh & pad for sh in shifts)
             out[idx[: idx.index(pad)] if pad in idx else idx] = c
     return out
-
-
-def _layout(k: int, m: int) -> tuple[int, int, int, int]:
-    """(f, pad, guards, low) of k fields of f = m + 1 bits: the guard bits
-    and the digit bits of every field but the leftmost."""
-    f = m + 1
-    pad = (1 << m) - 1
-    ones = ((1 << f * (k - 1)) - 1) // ((1 << f) - 1)
-    return f, pad, ones << m, ones * pad
-
-
-def _repack(neg: int, k: int, f: int, pad: int, f2: int, pad2: int) -> int:
-    """A negated code of the (f, pad) layout, in the (f2, pad2) layout."""
-    code = 0
-    for sh in range(f * (k - 1), -1, -f):
-        i = -neg >> sh & pad
-        code = code << f2 | (pad2 if i == pad else i)
-    return -code

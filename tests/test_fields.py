@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from lowerq import FpScalar, binom_mod_p, is_prime, lucas_binom
+from lowerq import FpScalar, GeneratorFamily, GradedElement, binom_mod_p, is_prime, lucas_binom
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -43,6 +43,16 @@ def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1)
     assert not is_prime(-3)
+
+
+def test_is_prime_trial_divides_each_modulus_once():
+    # every GradedElement checks its modulus, so a large prime would
+    # otherwise be trial-divided up to its square root per element
+    x = GeneratorFamily("x", 2, 0)
+    is_prime.cache_clear()
+    for i in range(2000):
+        GradedElement(x, 1000003, {i: 1})
+    assert is_prime.cache_info().misses == 1
 
 
 class TestBinom:

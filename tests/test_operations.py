@@ -22,6 +22,11 @@ def term(outer, inner, coeff=1):
     return RelationTerm(coeff, AffineExpr(outer), AffineExpr(inner))
 
 
+def binom_term(n, k, outer, inner):
+    """C(n(w), k(w)) Q_outer(w) Q_inner(w), each given as (const, slope)."""
+    return RelationTerm((AffineExpr(*n), AffineExpr(*k)), AffineExpr(*outer), AffineExpr(*inner))
+
+
 def cycle_message(pair, *through):
     via = f" through {', '.join(through)}" if through else ""
     return f"relation override for {pair} yields {pair} again{via}"
@@ -430,6 +435,61 @@ class TestRelationOverrides:
             table.terms_for(3, 1)
         assert str(err.value) == cycle_message("(3, 1)", "(5, 0)")
 
+    @pytest.mark.parametrize(
+        "terms, top",
+        [
+            ((), 0),
+            ((term(7, 5), term(38, 0)), 38),
+            ((term(-2, 3), term(-5, -1)), 3),
+            # a binomial that vanishes mod 2 still counts
+            ((binom_term((5, 0), (2, 0), (1, 0), (40, 0)),), 40),
+            # C(w - 5, 2w - 13) is nonzero for 7 <= w <= 8 only: the outer
+            # index 100 - 10w peaks at w = 7, the inner index w at w = 8
+            ((binom_term((-5, 1), (-13, 2), (100, -10), (0, 1)),), 30),
+            ((binom_term((-5, 1), (-13, 2), (0, 0), (0, 1)),), 8),
+            # C(w - 10, 2w) is nonzero for no w
+            ((binom_term((-10, 1), (0, 2), (50, 1), (0, 0)),), 0),
+            # C(0, w + 10) is nonzero at w = -10 only, where both indices
+            # are negative; with outer -w, the term is dropped all the same
+            ((binom_term((0, 0), (10, 1), (0, 1), (1, 1)),), 0),
+            ((binom_term((0, 0), (10, 1), (0, -1), (1, 1)),), 10),
+        ],
+    )
+    def test_index_bound(self, terms, top):
+        assert RelationTable(2, {(5, 1): terms})._top == top
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (
+                binom_term((5, 0), (2, 0), (90, 1), (0, 0)),
+                "relation term has unbounded summation range",
+            ),
+            (
+                RelationTerm(1, AffineExpr(0, 1), AffineExpr(70)),
+                "parametric relation term needs a binomial coefficient to bound its range",
+            ),
+        ],
+    )
+    def test_term_that_raises_adds_nothing_to_the_bound(self, bad, message):
+        # it raises at the first expansion, before it yields any index
+        table = RelationTable(2, {(5, 1): (term(2, 3), bad)})
+        assert table._top == 3
+        with pytest.raises(RelationDataError, match=message):
+            table.terms_for(5, 1)
+
+    def test_override_added_past_the_bound_rejected(self):
+        t = RelationTable(2, {(5, 1): (term(7, 5),)})
+        t.overrides[(5, 1)] = (term(38, 0),)
+        message = r"relation override for \(5, 1\) yields an index past 7"
+        with pytest.raises(RelationDataError, match=message):
+            t.terms_for(5, 1)
+        with pytest.raises(RelationDataError, match=message):
+            adem_rewrite(w2(6, 3, 1), t)
+        # one within the bound is taken
+        t.overrides[(5, 1)] = (term(0, 7),)
+        assert t.terms_for(5, 1) == ((1, (0, 7)),)
+
     def test_budget_error_is_data_error(self):
         assert issubclass(RewriteBudgetError, RelationDataError)
 
@@ -491,7 +551,8 @@ class TestAgainstReference:
 
 class TestPackedWords:
     """rewrite_sum packs each word into one int, its indices in fields
-    just wide enough for the largest index of the sum."""
+    just wide enough for the largest index of the sum and of the override
+    table."""
 
     def test_override_widens_twice_in_one_expansion(self):
         # the indices of Q_6 Q_3 Q_1 fit 3-bit digits; expanding (5, 1)
@@ -504,6 +565,19 @@ class TestPackedWords:
         assert got == want == OperationSum(2, {w2(0, 1, 19): 1, w2(2, 5, 6): 1})
         assert list(got._terms.items()) == list(want._terms.items())
         assert new.calls == ref.calls == 5
+
+    def test_override_far_past_the_digits_of_the_word(self):
+        # Q_6 Q_3 Q_1 fits 3-bit digits; expanding (5, 1) yields Q_1000000,
+        # which the fields must hold from the start
+        overrides = {(5, 1): (term(7, 5), term(0, 10**6))}
+        s = OperationSum.from_word(w2(6, 3, 1))
+        new, ref = CountingTable(2, overrides), CountingTable(2, overrides)
+        got = rewrite_sum(s, new)
+        want = reference_rewrite_sum(s, ref, "leftmost", 10**6, largest_first)
+        assert got == want
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert any(10**6 in idx for idx in got._terms)
+        assert new.calls == ref.calls
 
     def test_mixed_lengths_share_one_order(self):
         # the empty word, a word and its extensions: shorter words are
