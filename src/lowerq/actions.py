@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from operator import itemgetter
+from types import MappingProxyType
 
 from .algebra import GeneratorFamily, GradedElement, JoinAlgebraSpec
 from .errors import ActionRangeError, FamilyMismatchError
@@ -55,7 +56,7 @@ class ActionTable:
     """Tabulated action over the rectangle op <= max_op, gen <= max_gen.
 
     Entries omitted inside the rectangle are zero; queries outside it raise.
-    """
+    The entries are fixed at construction; entries is a read-only view."""
 
     def __init__(
         self,
@@ -72,7 +73,11 @@ class ActionTable:
             if not (0 <= op <= max_op and 0 <= gen <= max_gen):
                 raise ValueError(f"entry ({op}, {gen}) outside declared rectangle")
             table[(op, gen)] = tuple(terms)
-        self.entries = table
+        self._entries = table
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], ActionEntry]:
+        return MappingProxyType(self._entries)
 
     def lookup(self, op: int, gen: int) -> ActionEntry:
         if not (0 <= op <= self.max_op and 0 <= gen <= self.max_gen):
@@ -80,7 +85,7 @@ class ActionTable:
                 f"action queried at ({op}, {gen}) outside rectangle "
                 f"op <= {self.max_op}, gen <= {self.max_gen}"
             )
-        return self.entries.get((op, gen), ())
+        return self._entries.get((op, gen), ())
 
 
 ActionRule = str | ActionTable | Callable[[int, int], GradedElement]

@@ -1,8 +1,8 @@
 """Exact arithmetic in the prime field F_p.
 
 Binomial coefficients are computed digit by digit in base p (Lucas'
-theorem), so indices in the millions stay cheap and no big-integer
-factorials are ever formed. The combinatorial convention C(n, k) = 0 for
+theorem), so indices in the millions stay cheap: no binomial of a number
+past p - 1 is formed. The combinatorial convention C(n, k) = 0 for
 k > n (or k < 0) is used throughout; Adem-type sums rely on out-of-range
 binomials vanishing.
 """
@@ -10,6 +10,7 @@ binomials vanishing.
 from __future__ import annotations
 
 from functools import cache
+from math import comb
 
 
 @cache
@@ -60,34 +61,17 @@ class FpScalar:
         return f"FpScalar({self.value}, p={self.p})"
 
 
-_SMALL_BINOM: dict[int, list[list[int]]] = {}
-
-
-def _small_table(p: int) -> list[list[int]]:
-    # Pascal triangle mod p for n < p, used for the base-p digits.
-    table = _SMALL_BINOM.get(p)
-    if table is None:
-        table = [[1]]
-        for n in range(1, p):
-            prev = table[-1]
-            row = [1] + [(prev[k - 1] + prev[k]) % p for k in range(1, n)] + [1]
-            table.append(row)
-        _SMALL_BINOM[p] = table
-    return table
-
-
 def lucas_binom(n: int, k: int, p: int) -> int:
     """C(n, k) mod p as a plain int, via base-p digits."""
     if k < 0 or n < 0 or k > n:
         return 0
-    table = _small_table(p)
     r = 1
     while k:
         nd = n % p
         kd = k % p
         if kd > nd:
             return 0
-        r = r * table[nd][kd] % p
+        r = r * comb(nd, kd) % p
         n //= p
         k //= p
     return r

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from heapq import heapify, heappop, heappush
+from types import MappingProxyType
 
 from .errors import FrozenRecord, RelationDataError, RewriteBudgetError
 from .fields import check_prime, lucas_binom
@@ -157,10 +158,6 @@ class AffineExpr(FrozenRecord):
     def at(self, w: int) -> int:
         return self.const + self.slope * w
 
-    @property
-    def is_constant(self) -> bool:
-        return self.slope == 0
-
 
 class RelationTerm(FrozenRecord):
     """One (possibly parametric) term of a relation right-hand side.
@@ -178,19 +175,13 @@ class RelationTerm(FrozenRecord):
     def __init__(self, coeff: int | tuple[AffineExpr, AffineExpr], outer: AffineExpr, inner: AffineExpr):
         self._set(coeff, outer, inner)
 
-    def uses_variable(self) -> bool:
-        if isinstance(self.coeff, tuple) and not (
-            self.coeff[0].is_constant and self.coeff[1].is_constant
-        ):
-            return True
-        return not (self.outer.is_constant and self.inner.is_constant)
-
     def _range(self) -> range:
         """The values of the summation variable that expand visits."""
-        if not self.uses_variable():
+        binom = self.coeff if isinstance(self.coeff, tuple) else ()
+        if not any(e.slope for e in (*binom, self.outer, self.inner)):
             return range(1)
-        if isinstance(self.coeff, tuple):
-            lo, hi = _binom_support(*self.coeff)
+        if binom:
+            lo, hi = _binom_support(*binom)
             return range(lo, hi + 1)
         raise RelationDataError(
             "parametric relation term needs a binomial coefficient to bound its range"
@@ -271,9 +262,9 @@ def builtin_pair_terms(p: int, r: int, s: int) -> tuple[tuple[int, tuple[int, in
 class RelationTable:
     """Per-pair Adem expansions: overrides where given, built-in data otherwise.
 
+    The overrides are fixed at construction; overrides is a read-only view.
     Built-in expansions yield indices below their pair, so a rewrite reaches
-    no index above those of its input and _top, the largest index that the
-    overrides given here can yield."""
+    no index past its input's and _top, the largest an override can yield."""
 
     def __init__(
         self,
@@ -282,23 +273,24 @@ class RelationTable:
     ):
         check_prime(p)
         self.p = p
-        self.overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
-        self._top = max((t._reach() for v in self.overrides.values() for t in v), default=0)
+        self._overrides = {k: tuple(v) for k, v in (overrides or {}).items()}
+        self._top = max((t._reach() for v in self._overrides.values() for t in v), default=0)
         self._cache: dict[tuple[int, int], tuple] = {}
 
+    @property
+    def overrides(self) -> Mapping[tuple[int, int], tuple[RelationTerm, ...]]:
+        return MappingProxyType(self._overrides)
+
     def terms_for(self, r: int, s: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-        """Expansion of Q_r Q_s as ((coeff, (outer, inner)), ...); r > s required."""
+        """Expansion of Q_r Q_s as ((coeff, (outer, inner)), ...); r > s required.
+
+        Cached per pair, which the fixed overrides keep current."""
         key = (r, s)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        if key in self.overrides:
+        if key in self._overrides:
             expansion = self._override_terms(key)
-            if max((max(pair) for _, pair in expansion), default=0) > self._top:
-                raise RelationDataError(
-                    f"relation override for {key} yields an index past {self._top},"
-                    " the bound set by the overrides the table was built with"
-                )
             self._check_cycle(key, expansion)
         else:
             expansion = builtin_pair_terms(self.p, r, s)
@@ -308,7 +300,7 @@ class RelationTable:
     def _override_terms(self, key: tuple[int, int]) -> tuple[tuple[int, tuple[int, int]], ...]:
         """The merged expansion of an override pair, sorted by (outer, inner)."""
         acc: dict[tuple[int, int], int] = {}
-        for term in self.overrides[key]:
+        for term in self._overrides[key]:
             for c, pair in term.expand(self.p):
                 acc[pair] = (acc.get(pair, 0) + c) % self.p
         return tuple(sorted(((c, pair) for pair, c in acc.items() if c), key=lambda t: t[1]))
@@ -330,7 +322,7 @@ class RelationTable:
                     raise RelationDataError(
                         f"relation override for {key} yields {key} again{through}"
                     )
-                if pair not in seen and pair in self.overrides and pair[0] > pair[1]:
+                if pair not in seen and pair in self._overrides and pair[0] > pair[1]:
                     seen.add(pair)
                     queue.append((self._override_terms(pair), path + (pair,)))
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -169,6 +171,11 @@ class TestCartanExpand:
         assert m.cartan_expand(5, zero, x(0)).is_zero()
         assert m.cartan_expand(5, x(0), zero).is_zero()
 
+    def test_negative_index_rejected(self):
+        m = s1_module(s1_candidate_table("ones", 10))
+        with pytest.raises(ValueError, match="operation index must be nonnegative"):
+            m.cartan_expand(-1, x(0), x(0))
+
 
     @given(
         n=st.integers(min_value=0, max_value=24),
@@ -258,6 +265,39 @@ class TestActionTable:
         with pytest.raises(ValueError):
             ActionTable(2, 2, {(3, 0): [(1, 1)]})
 
+    @pytest.mark.parametrize("bounds", [(-1, 0), (0, -1)])
+    def test_negative_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="rectangle bounds must be nonnegative"):
+            ActionTable(*bounds, {})
+
+    def test_entries_reject_item_assignment(self):
+        # the module memoizes its cells and checks the degree law only at
+        # construction, so a cell added later would be served unchecked
+        table = ActionTable(2, 2, {(0, 0): [(1, 1)]})
+        m = ModuleSpec(self.algebra(), table)
+        with pytest.raises(TypeError):
+            table.entries[(2, 0)] = ((1, 9),)
+        with pytest.raises(AttributeError):
+            table.entries = {}
+        assert dict(table.entries) == {(0, 0): ((1, 1),)}
+        assert m.act(2, 0).is_zero() and m.act(0, 0) == x(1)
+
+    def test_constructor_dict_is_copied(self):
+        given = {(0, 0): [(1, 1)]}
+        table = ActionTable(2, 2, given)
+        given[(2, 0)] = [(1, 9)]
+        assert table.lookup(2, 0) == ()
+
+    def test_copy_and_pickle_round_trip(self):
+        table = ActionTable(2, 2, {(0, 0): [(1, 1)], (2, 1): [(1, 4)]})
+        for t in (copy.deepcopy(table), *(pickle.loads(pickle.dumps(table, proto)) for proto in range(6))):
+            assert (t.max_op, t.max_gen) == (2, 2)
+            assert dict(t.entries) == dict(table.entries)
+            assert t.lookup(2, 1) == ((1, 4),) and t.lookup(1, 1) == ()
+            with pytest.raises(TypeError):
+                t.entries[(1, 1)] = ()
+            assert ModuleSpec(self.algebra(), t).act(2, 1) == x(4)
+
     def test_odd_p_tabulated_module(self):
         # p = 3, dim_g = 0, degree rule i -> i: op 0 sends degree d to 3d + 2
         fam = GeneratorFamily("e", 1, 0)
@@ -276,6 +316,10 @@ class TestModulePlumbing:
         wrong = JoinAlgebraSpec(2, 0, S1_FAMILY)
         with pytest.raises(ValueError):
             ModuleSpec(wrong, "s1_p2")
+
+    def test_action_of_another_kind_rejected(self):
+        with pytest.raises(TypeError, match="action must be a builtin name"):
+            ModuleSpec(s1_algebra(), 5)
 
     def test_elements_from_another_family_rejected(self):
         m = s1_module(ONES_70)

@@ -61,6 +61,10 @@ class TestGradedElement:
         assert GradedElement(X, 2).render() == "0"
         assert GradedElement.generator(X, 3, 2, 2).render() == "2*x_2"
 
+    def test_repr(self):
+        assert repr(gen2(3) + gen2(1)) == "<x_1 + x_3 over F_2>"
+        assert repr(GradedElement(X, 3)) == "<0 over F_3>"
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             GradedElement(X, 2, {-1: 1})
@@ -76,6 +80,13 @@ class TestGradedElement:
 
 
 class TestDegreeBookkeeping:
+    def test_index_for_degree(self):
+        assert X.index_for_degree(6) == 3
+        assert X.index_for_degree(5) is None and X.index_for_degree(-2) is None
+        assert GeneratorFamily("x", 2, 0, 2).index_for_degree(6) is None
+        # degree_a = 0 puts every index in one degree: none is unique
+        assert GeneratorFamily("z", 0, 3).index_for_degree(3) is None
+
     def test_two_fold(self):
         assert n_fold_degree(2, (3, 4), 1) == 9
 
@@ -130,6 +141,22 @@ class TestJoinAlgebraSpec:
         spec = JoinAlgebraSpec(2, 1, X)
         with pytest.raises(UndefinedProductError):
             spec.join_product(gen2(0), gen2(0))
+
+    def test_operands_of_another_family_rejected(self):
+        spec = JoinAlgebraSpec(2, 1, X, {(0, 0): [(1, 1)]})
+        for a, b in [
+            (GradedElement.generator(E, 2, 0), gen2(0)),
+            (gen2(0), GradedElement.generator(E, 2, 0)),
+            (GradedElement.generator(X, 3, 0), gen2(0)),
+        ]:
+            with pytest.raises(FamilyMismatchError, match="operands do not live over this algebra"):
+                spec.join_product(a, b)
+
+    def test_repr(self):
+        assert repr(JoinAlgebraSpec(2, 1, X, {(0, 0): [(1, 1)], (0, 1): []})) == (
+            "JoinAlgebraSpec(p=2, dim_g=1, x, 2 table entries)"
+        )
+        assert repr(JoinAlgebraSpec(3, 0, E)) == "JoinAlgebraSpec(p=3, dim_g=0, e, no table entries)"
 
     def test_non_canonical_key_rejected(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,12 @@ class TestFpScalar:
             with pytest.raises(ValueError):
                 FpScalar(1, bad)
 
+    def test_truth_hash_and_repr(self):
+        assert FpScalar(3, 5) and not FpScalar(10, 5)
+        assert hash(FpScalar(8, 5)) == hash(FpScalar(3, 5))
+        assert {FpScalar(8, 5), FpScalar(3, 5), FpScalar(3, 7)} == {FpScalar(3, 5), FpScalar(3, 7)}
+        assert repr(FpScalar(-1, 5)) == "FpScalar(4, p=5)"
+
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,8 +115,8 @@ def override_cases(draw):
     each expansion a few constant terms, and a word over indices < 6.
 
     At p = 2 an expansion may also yield indices up to 40, past the 3-bit
-    digits that the word's indices need, and past a widened digit again;
-    the shipped family expands the pairs they form."""
+    digits that the word's indices need; the shipped family expands the
+    pairs they form."""
     p = draw(st.sampled_from((2, 3, 5)))
     index = st.integers(min_value=0, max_value=5)
     output = st.one_of(index, st.integers(6, 40)) if p == 2 else index
@@ -254,6 +257,9 @@ class TestAdemRewrite:
 
     def test_pair_example(self):
         assert adem_rewrite(w2(4, 0)) == OperationSum.from_word(w2(0, 2))
+
+    def test_empty_sum(self):
+        assert rewrite_sum(OperationSum(2)) == OperationSum(2)
 
     def test_projection(self):
         for word in (w2(9, 4), w2(7, 3, 1), w2(12, 6, 2)):
@@ -478,23 +484,71 @@ class TestRelationOverrides:
         with pytest.raises(RelationDataError, match=message):
             table.terms_for(5, 1)
 
-    def test_override_added_past_the_bound_rejected(self):
+    def test_overrides_reject_item_assignment(self):
         t = RelationTable(2, {(5, 1): (term(7, 5),)})
-        t.overrides[(5, 1)] = (term(38, 0),)
-        message = r"relation override for \(5, 1\) yields an index past 7"
-        with pytest.raises(RelationDataError, match=message):
-            t.terms_for(5, 1)
-        with pytest.raises(RelationDataError, match=message):
-            adem_rewrite(w2(6, 3, 1), t)
-        # one within the bound is taken
-        t.overrides[(5, 1)] = (term(0, 7),)
-        assert t.terms_for(5, 1) == ((1, (0, 7)),)
+        assert t.terms_for(5, 1) == ((1, (7, 5)),)
+        with pytest.raises(TypeError):
+            t.overrides[(5, 1)] = (term(0, 1),)
+        with pytest.raises(TypeError):
+            t.overrides[(6, 1)] = (term(38, 0),)
+        assert dict(t.overrides) == {(5, 1): (term(7, 5),)}
+        assert t.terms_for(5, 1) == ((1, (7, 5)),)
+
+    def test_overrides_cannot_be_rebound(self):
+        t = RelationTable(2, {(5, 1): (term(7, 5),)})
+        with pytest.raises(AttributeError):
+            t.overrides = {}
+        assert t.terms_for(5, 1) == ((1, (7, 5)),)
+
+    def test_constructor_dict_is_copied(self):
+        given = {(5, 1): (term(7, 5),)}
+        t = RelationTable(2, given)
+        given[(5, 1)] = (term(38, 0),)
+        given[(4, 0)] = (term(1, 1),)
+        assert t.terms_for(5, 1) == ((1, (7, 5)),)
+        assert t.terms_for(4, 0) == builtin_pair_terms(2, 4, 0)
+        assert t._top == 7
+
+    def test_copy_and_pickle_round_trip(self):
+        t = RelationTable(3, {(5, 0): (term(3, 1, 2), term(1, 2)), (3, 1): (term(0, 4),)})
+        want = t.terms_for(5, 0)
+        for u in (copy.deepcopy(t), *(pickle.loads(pickle.dumps(t, proto)) for proto in range(6))):
+            assert u.p == 3 and u._top == 4
+            assert dict(u.overrides) == dict(t.overrides)
+            assert u.terms_for(5, 0) == want
+            with pytest.raises(TypeError):
+                u.overrides[(5, 0)] = ()
 
     def test_budget_error_is_data_error(self):
         assert issubclass(RewriteBudgetError, RelationDataError)
 
 
 class TestAgainstReference:
+    @given(case=override_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_override_expansions_stay_within_the_bound(self, case):
+        # _top sizes the rewrite kernel's digits once, so no override
+        # expansion may yield an index past it, and no expansion reached
+        # while rewriting one past _top and the word's own indices
+        p, overrides, word = case
+        table = RelationTable(p, overrides)
+        for r, s in overrides:
+            try:
+                expansion = table.terms_for(r, s)
+            except RelationDataError:  # a cycle: nothing is yielded
+                continue
+            assert all(max(pair) <= table._top for _, pair in expansion), (r, s)
+        reached = []
+
+        class Recording(RelationTable):
+            def terms_for(self, r, s):
+                reached.append(super().terms_for(r, s))
+                return reached[-1]
+
+        outcome(rewrite_sum, OperationSum.from_word(word), Recording(p, overrides), budget=200)
+        bound = max(table._top, *word.indices)
+        assert all(max(pair) <= bound for expansion in reached for _, pair in expansion)
+
     @given(word=long_words)
     @settings(max_examples=150, deadline=None)
     def test_shipped_family_matches_reference(self, word):
@@ -551,12 +605,12 @@ class TestAgainstReference:
 
 class TestPackedWords:
     """rewrite_sum packs each word into one int, its indices in fields
-    just wide enough for the largest index of the sum and of the override
-    table."""
+    sized once, before the loop, for the largest index of the sum and of
+    the override table."""
 
-    def test_override_widens_twice_in_one_expansion(self):
+    def test_override_indices_past_the_word_sized_from_the_start(self):
         # the indices of Q_6 Q_3 Q_1 fit 3-bit digits; expanding (5, 1)
-        # yields Q_7, which needs 4 bits, and then Q_38, which needs 6
+        # yields Q_7 and Q_38, in fields sized for 38 from the start
         overrides = {(5, 1): (term(7, 5), term(38, 0))}
         s = OperationSum.from_word(w2(6, 3, 1))
         new, ref = CountingTable(2, overrides), CountingTable(2, overrides)

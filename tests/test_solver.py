@@ -541,6 +541,10 @@ class TestSolverEdges:
         assert result.forced_zero == [(1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
         table = result.table_for({})
         assert set(table) == set(result.targets) | set(result.forced_zero)
+        # every slot within the bound is forced to zero too
+        with pytest.raises(ValueError, match=r"slot \(0, 1\) is forced to zero by the degree law"):
+            result.table_for({(0, 1): 1})
+        assert result.table_for({(0, 1): 2}) == table
         zero = ModuleSpec(JoinAlgebraSpec(2, 0, fam, table), module.action)
         report = verify_cartan(zero, 6, 1)
         assert report.passed and report.checked == 7 * 2 * 2
