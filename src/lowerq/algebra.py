@@ -15,6 +15,7 @@ any consistency check built on top of the product.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from .errors import FamilyMismatchError, FrozenRecord, UndefinedProductError
 from .fields import FpScalar, check_prime
@@ -157,14 +158,22 @@ def commutativity_sign(deg_a: int, deg_b: int, dim_g: int, p: int) -> FpScalar:
     return FpScalar(-1 if s % 2 else 1, p)
 
 
-class JoinAlgebraSpec:
+class JoinAlgebraSpec(FrozenRecord):
     """Parameters and structure constants of one join-product algebra.
 
     product_table maps (a, b) with a <= b to a tuple of (coeff, result_index)
     terms. A key present with an empty tuple is a product defined to be zero;
     an absent key is an undefined product. product_table=None means no
     products are defined at all.
+
+    Fixed once built: no field can be rebound, product_table is a read-only
+    view, and specs compare by value and are unhashable. A term whose
+    coefficient vanishes mod p is dropped; any other must obey the degree
+    law, or the constructor raises, naming the first violation in key order.
     """
+
+    __slots__ = ("p", "dim_g", "family", "_table")
+    __hash__ = None
 
     def __init__(
         self,
@@ -176,10 +185,8 @@ class JoinAlgebraSpec:
         check_prime(p)
         if not isinstance(dim_g, int) or dim_g < 0:
             raise ValueError(f"dim_g must be a nonnegative integer, got {dim_g!r}")
-        self.p = p
-        self.dim_g = dim_g
-        self.family = family
         table: dict[tuple[int, int], ProductEntry] | None = None
+        lawful = True
         if product_table is not None:
             table = {}
             for (a, b), entry in product_table.items():
@@ -187,14 +194,25 @@ class JoinAlgebraSpec:
                 family.check_index(b)
                 if a > b:
                     raise ValueError(f"product table key ({a}, {b}) not in canonical order a <= b")
+                # the degree law with degree_b subtracted from both sides
+                want = family.degree_a * (a + b) + family.degree_b + dim_g + 1
                 terms = []
                 for coeff, idx in entry:
                     family.check_index(idx)
                     coeff %= p
                     if coeff:
                         terms.append((coeff, idx))
+                        if family.degree_a * idx != want:
+                            lawful = False
                 table[(a, b)] = tuple(sorted(terms, key=lambda t: t[1]))
-        self.product_table = table
+        self._set(p, dim_g, family, table)
+        if not lawful:
+            a, b, idx = self.degree_law_violations()[0]
+            raise ValueError(f"product table entry ({a}, {b}) -> index {idx} breaks the degree law")
+
+    @property
+    def product_table(self) -> Mapping[tuple[int, int], ProductEntry] | None:
+        return None if self._table is None else MappingProxyType(self._table)
 
     def sign(self, deg_a: int, deg_b: int) -> int:
         """Commutation sign for a pair of degrees, as a reduced int."""
@@ -207,10 +225,10 @@ class JoinAlgebraSpec:
 
     def entry(self, a: int, b: int) -> ProductEntry:
         """Table entry for the ordered pair (a, b); applies the sign for a > b."""
-        if self.product_table is None:
+        if self._table is None:
             raise UndefinedProductError((a, b))
         key = (a, b) if a <= b else (b, a)
-        entry = self.product_table.get(key)
+        entry = self._table.get(key)
         if entry is None:
             raise UndefinedProductError((a, b))
         if a <= b:
@@ -236,16 +254,11 @@ class JoinAlgebraSpec:
     def degree_law_violations(self) -> list[tuple[int, int, int]]:
         """Table terms whose result degree breaks the degree law, as (a, b, index)."""
         bad = []
-        if self.product_table:
-            for (a, b), entry in sorted(self.product_table.items()):
-                want = n_fold_degree(
-                    2, (self.family.degree(a), self.family.degree(b)), self.dim_g
-                )
-                for _, idx in entry:
-                    if self.family.degree(idx) != want:
-                        bad.append((a, b, idx))
+        for (a, b), entry in sorted((self._table or {}).items()):
+            want = n_fold_degree(2, (self.family.degree(a), self.family.degree(b)), self.dim_g)
+            bad += [(a, b, idx) for _, idx in entry if self.family.degree(idx) != want]
         return bad
 
     def __repr__(self):
-        n = len(self.product_table) if self.product_table is not None else "no"
+        n = len(self._table) if self._table is not None else "no"
         return f"JoinAlgebraSpec(p={self.p}, dim_g={self.dim_g}, {self.family.name}, {n} table entries)"

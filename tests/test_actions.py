@@ -249,6 +249,11 @@ class TestActionTable:
         bad = ActionTable(2, 2, {(0, 0): [(1, 2)]})
         with pytest.raises(ValueError):
             ModuleSpec(self.algebra(), bad)
+        # a term that vanishes mod 2 is exempt from the degree law, but its
+        # index must still lie in the family
+        ModuleSpec(self.algebra(), ActionTable(2, 2, {(0, 0): [(2, 9)]}))
+        with pytest.raises(ValueError, match="generator index -1 out of range"):
+            ModuleSpec(self.algebra(), ActionTable(2, 2, {(0, 0): [(2, -1)]}))
 
     def test_apply_word_out_of_range_errors(self):
         m = ModuleSpec(self.algebra(), ActionTable(2, 2, {(0, 0): [(1, 1)]}))

@@ -173,8 +173,40 @@ class TestJoinAlgebraSpec:
     def test_degree_law_violations(self):
         good = JoinAlgebraSpec(2, 1, X, {(0, 1): [(1, 2)]})
         assert good.degree_law_violations() == []
-        bad = JoinAlgebraSpec(2, 1, X, {(0, 1): [(1, 3)]})
-        assert bad.degree_law_violations() == [(0, 1, 3)]
+        with pytest.raises(ValueError) as err:
+            JoinAlgebraSpec(2, 1, X, {(0, 1): [(1, 3)]})
+        assert str(err.value) == "product table entry (0, 1) -> index 3 breaks the degree law"
+
+    def test_degree_law_names_sorted_first_violation(self):
+        # both keys break the law; the dict lists the later key first
+        with pytest.raises(ValueError, match=r"^product table entry \(0, 0\) -> index 5 breaks"):
+            JoinAlgebraSpec(2, 1, X, {(1, 1): [(1, 9)], (0, 0): [(1, 5)]})
+
+    def test_structural_error_before_degree_law(self):
+        # an out-of-order key later in the dict is reported, not the
+        # unlawful term before it
+        with pytest.raises(ValueError, match="not in canonical order"):
+            JoinAlgebraSpec(2, 1, X, {(0, 0): [(1, 5)], (2, 1): [(1, 4)]})
+
+    def test_vanishing_unlawful_term_accepted(self):
+        # index 9 is unlawful for (0, 0), but 4 and -2 vanish mod 2
+        spec = JoinAlgebraSpec(2, 1, X, {(0, 0): [(4, 9), (1, 1), (-2, 7)]})
+        assert spec.product_table == {(0, 0): ((1, 1),)}
+        assert spec.degree_law_violations() == []
+
+    def test_fixed_at_construction(self):
+        table = {(0, 0): [(1, 1)], (1, 2): []}
+        spec = JoinAlgebraSpec(2, 1, X, table)
+        with pytest.raises(TypeError):
+            spec.product_table[(2, 1)] = ((1, 4),)
+        table[(0, 0)].append((1, 1))
+        table[(0, 1)] = [(1, 2)]
+        assert spec.product_table == {(0, 0): ((1, 1),), (1, 2): ()}
+        assert spec.join_product(gen2(0), gen2(0)) == gen2(1)
+        for name in ("p", "dim_g", "family", "product_table", "_table"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, None)
+        assert JoinAlgebraSpec(2, 1, X).product_table is None
 
     def test_degree_additivity_of_products(self):
         table = {(a, b): [(1, a + b + 1)] for a in range(6) for b in range(a, 6)}

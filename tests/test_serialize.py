@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -81,6 +82,29 @@ class TestAlgebraSchema:
         with pytest.raises(SchemaError):
             algebra_from_obj(dict(S1_OBJ, p=6))
 
+    @pytest.mark.parametrize("terms, error", [
+        ([[2, 9]], None),
+        ([[1, 1], [-4, 7]], None),
+        ([[1, 9]], "product table entry (0, 0) -> index 9 breaks the degree law"),
+    ])
+    def test_degree_law_same_on_both_paths(self, terms, error):
+        # x_0 * x_0 lies in the degree of x_1; a term elsewhere that
+        # vanishes mod 2 is exempt from the degree law
+        obj = dict(S1_OBJ, product_table=[{"a": 0, "b": 0, "terms": terms}])
+        builds = [
+            lambda: JoinAlgebraSpec(2, 1, GeneratorFamily("x", 2, 0), {(0, 0): terms}),
+            lambda: algebra_from_obj(obj),
+        ]
+        if error:
+            for build in builds:
+                with pytest.raises(ValueError, match=re.escape(error)):
+                    build()
+        else:
+            spec, parsed = (build() for build in builds)
+            assert spec == parsed and spec.product_table[(0, 0)] == tuple(
+                (c, i) for c, i in terms if c % 2
+            )
+
     def test_max_index_preserved(self):
         obj = {
             "p": 2,
@@ -162,6 +186,27 @@ class TestModuleSchema:
         }
         with pytest.raises(SchemaError):
             module_from_obj(obj)
+
+    @pytest.mark.parametrize("terms, error", [
+        ([[2, 9]], None),
+        ([[1, 1], [-4, 7]], None),
+        ([[1, 9]], "action entry (0, 0) -> index 9 breaks the degree law"),
+    ])
+    def test_degree_law_same_on_both_paths(self, terms, error):
+        # Q_0(x_0) lies in the degree of x_1; a term elsewhere that
+        # vanishes mod 2 is exempt from the degree law
+        algebra = JoinAlgebraSpec(2, 1, GeneratorFamily("x", 2, 0))
+        table = {"max_op": 2, "max_gen": 2, "entries": [{"op": 0, "gen": 0, "terms": terms}]}
+        builds = [
+            lambda: ModuleSpec(algebra, ActionTable(2, 2, {(0, 0): terms})),
+            lambda: module_from_obj({"algebra": algebra_to_obj(algebra), "action_table": table}),
+        ]
+        for build in builds:
+            if error:
+                with pytest.raises(ValueError, match=re.escape(error)):
+                    build()
+            else:
+                assert build().act(0, 0).terms == {i: c % 2 for c, i in terms if c % 2}
 
     def test_callable_action_not_serializable(self):
         module = ModuleSpec(

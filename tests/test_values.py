@@ -12,7 +12,14 @@ import sys
 import pytest
 
 import lowerq
-from lowerq import GeneratorFamily, LinearSystem, OperationWord, SolverResult, VerificationReport
+from lowerq import (
+    GeneratorFamily,
+    JoinAlgebraSpec,
+    LinearSystem,
+    OperationWord,
+    SolverResult,
+    VerificationReport,
+)
 from lowerq.operations import AffineExpr, RelationTerm
 from lowerq.verify import Failure
 
@@ -41,6 +48,10 @@ def report():
     return VerificationReport(checked=9, failures=[failure()], elapsed_ms=4)
 
 
+def algebra_spec(coeff=1):
+    return JoinAlgebraSpec(3, 1, GeneratorFamily("x", 1, 0), {(0, 1): [(coeff, 3)], (1, 1): []})
+
+
 # name -> (maker, maker of an unequal instance)
 FROZEN = {
     "GeneratorFamily": (lambda: GeneratorFamily("x", 2, 0), lambda: GeneratorFamily("x", 2, 0, 7)),
@@ -54,7 +65,9 @@ MUTABLE = {
     "Failure": (failure, lambda: Failure("Adem relation", {}, "x_5", "0")),
     "VerificationReport": (report, lambda: VerificationReport(checked=9, elapsed_ms=4)),
 }
-ALL = {**FROZEN, **MUTABLE}
+# fixed at construction like FROZEN, but unhashable: the table is a dict
+UNHASHABLE_FIXED = {"JoinAlgebraSpec": (algebra_spec, lambda: algebra_spec(2))}
+ALL = {**FROZEN, **MUTABLE, **UNHASHABLE_FIXED}
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
@@ -78,8 +91,8 @@ class TestEquality:
             assert type(y) is type(x) and y == x and repr(y) == repr(x)
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN))
 class TestFrozen:
+    @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_hash_and_keys(self, name):
         make, other = FROZEN[name]
         a, b = make(), make()
@@ -87,10 +100,11 @@ class TestFrozen:
         assert {a: 1}[b] == 1
         assert len({a, b, other()}) == 2
 
+    @pytest.mark.parametrize("name", sorted({**FROZEN, **UNHASHABLE_FIXED}))
     def test_assignment_raises(self, name):
-        x = FROZEN[name][0]()
-        field = {"GeneratorFamily": "name", "OperationWord": "p",
-                 "AffineExpr": "slope", "RelationTerm": "coeff"}[name]
+        x = ALL[name][0]()
+        field = {"GeneratorFamily": "name", "OperationWord": "p", "AffineExpr": "slope",
+                 "RelationTerm": "coeff", "JoinAlgebraSpec": "dim_g"}[name]
         before = getattr(x, field)
         with pytest.raises(AttributeError):
             setattr(x, field, 5)
@@ -103,6 +117,11 @@ class TestFrozen:
 def test_mutable_records_are_unhashable(name):
     with pytest.raises(TypeError):
         hash(MUTABLE[name][0]())
+
+
+def test_join_algebra_spec_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(algebra_spec())
 
 
 class TestRepr:

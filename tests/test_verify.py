@@ -230,22 +230,29 @@ def cartan_cases(draw):
 @st.composite
 def sign_specs(draw):
     """A JoinAlgebraSpec with p in {2, 3, 5}, dim_g <= 2 and degree rule
-    i -> a*i + b for a in {1, 2}, b in {0, 1}, or no table at all. Keys
-    are diagonal or not; an entry is empty, a few drawn terms, or those
-    plus a result index repeated so that its coefficients cancel mod p."""
+    i -> a*i + b for a in {1, 2}, b in {0, 1}, or no table at all. About
+    half the keys are diagonal, where the sign law can force an entry to
+    zero. An entry holds terms at the index the degree law asks for, if
+    there is one, and perhaps a term that vanishes mod p at any index; or
+    those plus the lawful index repeated so that its coefficients cancel
+    mod p."""
     p = draw(st.sampled_from([2, 3, 5]))
     fam = GeneratorFamily("x", draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1])))
     dim_g = draw(st.integers(0, 2))
     if draw(st.integers(0, 9)) == 0:
         return JoinAlgebraSpec(p, dim_g, fam, None)
-    pairs = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=10))
-    terms = st.tuples(st.integers(-p, 2 * p), st.integers(0, 12))
+    diagonal = st.integers(0, 6).map(lambda u: (u, u))
+    pairs = draw(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)) | diagonal, max_size=10))
+    vanishing = st.tuples(st.integers(-2, 2).map(lambda k: k * p), st.integers(0, 12))
     table = {}
     for u, v in pairs:
-        entry = draw(st.lists(terms, max_size=3))
-        if draw(st.booleans()):
-            idx, c = draw(st.integers(0, 12)), draw(st.integers(1, p - 1))
-            entry += [(c, idx), (p - c, idx)]
+        q, r = divmod(fam.degree_a * (u + v) + fam.degree_b + dim_g + 1, fam.degree_a)
+        lawful = st.tuples(st.integers(-p, 2 * p), st.just(q))
+        entry = [] if r else draw(st.lists(lawful, max_size=3))
+        entry += draw(st.lists(vanishing, max_size=1))
+        if not r and draw(st.booleans()):
+            c = draw(st.integers(1, p - 1))
+            entry += [(c, q), (p - c, q)]
         table[(min(u, v), max(u, v))] = entry
     return JoinAlgebraSpec(p, dim_g, fam, table)
 
@@ -474,14 +481,14 @@ class TestVerifySignLaws:
     def test_forced_zero_diagonal_violation(self):
         # p = 3, dim_g = 0: exponent on the (0,0) diagonal is odd,
         # so a nonzero entry must be flagged.
-        spec = JoinAlgebraSpec(3, 0, PT, {(0, 0): [(1, 0)]})
+        spec = JoinAlgebraSpec(3, 0, E, {(0, 0): [(1, 1)]})
         report = verify_sign_laws(spec)
         assert not report.passed
         assert report.failures[0].description == "forced-zero diagonal entry is nonzero"
 
     def test_even_exponent_diagonal_allowed(self):
         # p = 3, dim_g = 1: exponent 0*0 + 2 is even, no constraint
-        spec = JoinAlgebraSpec(3, 1, PT, {(0, 0): [(1, 0)]})
+        spec = JoinAlgebraSpec(3, 1, E, {(0, 0): [(1, 2)]})
         assert verify_sign_laws(spec).passed
 
     def test_zero_diagonal_passes(self):
